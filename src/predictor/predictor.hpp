@@ -1,9 +1,7 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/message.hpp"
@@ -77,12 +75,5 @@ class Predictor {
     return false;
   }
 };
-
-/// Pure reactive TDM: connections are never latched; they are released as
-/// soon as the request signal drops. (The "none" policy.)
-std::unique_ptr<Predictor> make_no_predictor();
-/// Hold everything forever: the degenerate upper bound on working-set
-/// size. (The "never-evict" policy.)
-std::unique_ptr<Predictor> make_never_evict_predictor();
 
 }  // namespace pmx

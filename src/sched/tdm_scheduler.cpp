@@ -9,7 +9,6 @@ namespace pmx {
 TdmScheduler::TdmScheduler(const Options& options)
     : n_(options.num_ports),
       k_(options.num_slots),
-      rotate_priority_(options.rotate_priority),
       multi_slot_(options.multi_slot_connections),
       skip_unrequested_(options.skip_unrequested_slots),
       requests_(n_),
@@ -226,7 +225,7 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
 
   const BitMatrix r_eff = effective_requests();
   const BitMatrix l = preschedule(r_eff, b_star_, slots_[s]);
-  const std::size_t origin = rotate_priority_ ? priority_origin_ : 0;
+  const std::size_t origin = priority_origin_;
 
   const BitMatrix b_star_before = b_star_;
 
@@ -284,9 +283,7 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
     }
   }
 
-  if (rotate_priority_) {
-    priority_origin_ = (priority_origin_ + 1) % n_;
-  }
+  priority_origin_ = (priority_origin_ + 1) % n_;
 
   ++stats_.passes;
   stats_.establishes += result.establishes;

@@ -54,7 +54,6 @@ class TdmScheduler {
   struct Options {
     std::size_t num_ports = 0;
     std::size_t num_slots = 1;  ///< K, the maximum multiplexing degree
-    bool rotate_priority = true;
     bool multi_slot_connections = false;  ///< Section 4 extension 2
     /// TDM-counter refinement: besides all-zero configurations (Section 4),
     /// also skip slots none of whose connections has a pending request --
@@ -210,7 +209,6 @@ class TdmScheduler {
 
   std::size_t n_;
   std::size_t k_;
-  bool rotate_priority_;
   bool multi_slot_;
   bool skip_unrequested_;
 

@@ -8,14 +8,6 @@ namespace pmx {
 
 namespace {
 
-TdmScheduler::Options scheduler_options(const SystemParams& params) {
-  TdmScheduler::Options o;
-  o.num_ports = params.num_nodes;
-  o.num_slots = params.mux_degree;
-  o.skip_unrequested_slots = true;  // idle preloaded slots cost no time
-  return o;
-}
-
 /// Consecutive zero-progress slots tolerated before the loaded-configuration
 /// window is reshuffled towards head-of-line demand (see preemption note in
 /// the class description of fill_free_slots/on_slot_tick).
@@ -26,34 +18,14 @@ constexpr std::uint64_t kStallSlots = 3;
 PreloadTdmNetwork::PreloadTdmNetwork(Simulator& sim,
                                      const SystemParams& params,
                                      CompiledPlan plan)
-    : Network(sim, params),
-      sched_(scheduler_options(params)),
-      xbar_(params.num_nodes, FabricKind::kLvds),
-      voqs_(params.num_nodes, VoqSet(params.num_nodes)),
+    : TdmNetworkBase(sim, params, /*multi_slot=*/false,
+                     /*grant_line=*/false),
       plan_(std::move(plan)),
       slot_config_(params.mux_degree),
       slot_clock_(sim, params.slot_length, [this] { on_slot_tick(); }) {
   PMX_CHECK(!plan_.phases.empty(), "compiled plan has no phases");
   config_sent_.assign(plan_.phases[0].configs.size(), 0);
   phase_unsettled_.assign(plan_.phases.size(), 0);
-  if (admission_enabled()) {
-    for (auto& voq : voqs_) {
-      voq.set_capacity(params.admission.capacity_bytes,
-                       params.admission.capacity_msgs);
-    }
-  }
-  if (control_faulty()) {
-    ControlPlane::Options po;
-    po.num_nodes = params.num_nodes;
-    po.wire_latency = params.control_wire_latency();
-    // Configuration registers are preloaded directly (out of band); only
-    // the request/release wires are lossy, there is no grant reply to lose.
-    po.grant_line = false;
-    po.heal = params.ctrl.heal;
-    plane_ = std::make_unique<ControlPlane>(
-        sim, *control_fault(), po, counters(),
-        [this](NodeId u, NodeId v, bool value) { apply_request(u, v, value); });
-  }
   if (params.reopt.enabled()) {
     demand_ = std::make_unique<DemandEstimator>(params.num_nodes,
                                                 params.reopt.ewma_shift);
@@ -81,48 +53,12 @@ void PreloadTdmNetwork::on_demand_roll() {
   demand_->roll();
 }
 
-void PreloadTdmNetwork::apply_request(NodeId u, NodeId v, bool value) {
-  if (value) {
-    plane_->refresh_lease(u, v);
-  }
-  sched_.set_request(u, v, value);
-}
-
-void PreloadTdmNetwork::lease_scan() {
-  const BitMatrix& requests = sched_.requests();
-  std::vector<std::pair<NodeId, NodeId>> expired;
-  for (NodeId u = 0; u < params_.num_nodes; ++u) {
-    requests.row(u).for_each_set([&](std::size_t v) {
-      if (plane_->lease_expired(u, v)) {
-        expired.emplace_back(u, v);
-      }
-    });
-  }
-  for (const auto& [u, v] : expired) {
-    counters().counter("lease_expiries") += 1;
-    sched_.set_request(u, v, false);
-  }
-}
-
-std::uint64_t PreloadTdmNetwork::queued_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& voq : voqs_) {
-    total += voq.total_bytes();
-  }
-  return total;
-}
-
 void PreloadTdmNetwork::do_submit(const Message& msg) {
   PMX_CHECK(msg.phase < plan_.phases.size(), "message phase beyond plan");
   PMX_CHECK(plan_.phases[msg.phase].config_of(msg.src, msg.dst) !=
                 PhasePlan::kNoConfig,
             "message pair missing from compiled plan");
-  voqs_[msg.src].push(msg);
-  if (plane_) {
-    plane_->want(msg.src, msg.dst);
-  } else {
-    sched_.set_request(msg.src, msg.dst, true);
-  }
+  TdmNetworkBase::do_submit(msg);
   if (fault_tolerant() && !retransmitting_) {
     ++phase_unsettled_[msg.phase];
   }
@@ -147,20 +83,6 @@ void PreloadTdmNetwork::on_message_settled(const Message& msg) {
   PMX_CHECK(phase_unsettled_[msg.phase] > 0,
             "settling a message its phase never counted");
   --phase_unsettled_[msg.phase];
-}
-
-std::optional<Message> PreloadTdmNetwork::remove_shed_victim(NodeId src,
-                                                             bool oldest,
-                                                             TimeNs cutoff) {
-  auto victim = voqs_[src].evict(oldest, cutoff, std::nullopt);
-  if (victim.has_value() && voqs_[src].empty(victim->dst)) {
-    if (plane_) {
-      plane_->unwant(src, victim->dst);
-    } else {
-      sched_.set_request(src, victim->dst, false);
-    }
-  }
-  return victim;
 }
 
 void PreloadTdmNetwork::on_message_shed(const Message& msg) {
@@ -304,7 +226,6 @@ void PreloadTdmNetwork::fill_free_slots() {
 
 void PreloadTdmNetwork::on_slot_tick() {
   const auto slot = sched_.advance_slot();
-  xbar_.load(sched_.active_config());
   const TimeNs slot_start = sim_.now();
   std::uint64_t transmitted = 0;
 
@@ -323,40 +244,13 @@ void PreloadTdmNetwork::on_slot_tick() {
         continue;
       }
       const std::size_t cfg = phase.config_of(u, v);
-      std::uint64_t budget = params_.slot_payload_bytes();
-      std::uint64_t sent = 0;
-      while (budget > 0 && !voqs_[u].empty(v)) {
-        // Only consume traffic belonging to the current phase: a head
-        // message tagged for a later phase waits for its own configs.
-        if (voqs_[u].head(v).phase != phase_) {
-          break;
-        }
-        Message completed;
-        const std::uint64_t taken = voqs_[u].consume(v, budget, &completed);
-        budget -= taken;
-        sent += taken;
-        if (completed.id != 0) {
-          const TimeNs done = slot_start + link_.serialization(sent);
-          notify_send_done(completed, done);
-          notify_delivered(completed, done,
-                           done + params_.passive_path_latency() +
-                               params_.nic_cycle);
-        }
-      }
+      // Only the current phase's traffic moves: a head message tagged for a
+      // later phase waits for its own configurations.
+      const std::uint64_t sent =
+          transmit(u, v, params_.slot_payload_bytes(), slot_start, phase_);
       transmitted += sent;
       if (demand_ != nullptr && sent > 0) {
         demand_->observe(u, v, sent);
-      }
-      if (plane_ && sent > 0) {
-        plane_->note_progress(u, v);
-        plane_->refresh_lease(u, v);
-      }
-      if (voqs_[u].empty(v)) {
-        if (plane_) {
-          plane_->unwant(u, v);
-        } else {
-          sched_.set_request(u, v, false);
-        }
       }
       if (cfg != PhasePlan::kNoConfig) {
         config_sent_[cfg] += sent;
@@ -364,9 +258,7 @@ void PreloadTdmNetwork::on_slot_tick() {
     }
     counters().counter("slot_bytes") += transmitted;
   }
-  if (plane_) {
-    lease_scan();
-  }
+  lease_scan();
 
   // Retire drained configurations and hand their slots to pending ones.
   const PhasePlan& phase = plan_.phases[phase_];
@@ -407,54 +299,6 @@ void PreloadTdmNetwork::on_slot_tick() {
   }
 
   fill_free_slots();
-}
-
-void PreloadTdmNetwork::audit_control(std::vector<std::string>& out) {
-  sched_.audit_invariants(out);
-  if (!plane_) {
-    return;
-  }
-  const std::size_t n = params_.num_nodes;
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v) {
-        continue;
-      }
-      const bool r = sched_.request(u, v);
-      const bool wants = plane_->wants(u, v);
-      if (r && !wants && !plane_->inflight(u, v) && !plane_->lease_active()) {
-        out.push_back("leaked request (" + std::to_string(u) + " -> " +
-                      std::to_string(v) +
-                      "): scheduler holds R for a NIC that dropped it");
-      }
-      if (wants && !r && !plane_->inflight(u, v) &&
-          !plane_->watchdog_armed(u, v)) {
-        // Wedge: with the request bit lost, skip-unrequested-slots rotation
-        // will never dwell on this pair's configuration.
-        out.push_back("wedged NIC (" + std::to_string(u) + " -> " +
-                      std::to_string(v) +
-                      "): intent raised but no request or watchdog pending");
-      }
-    }
-  }
-}
-
-void PreloadTdmNetwork::resync_control() {
-  if (!plane_) {
-    return;
-  }
-  plane_->begin_resync();
-  const std::size_t n = params_.num_nodes;
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v) {
-        continue;
-      }
-      const bool truth = !voqs_[u].empty(v);
-      plane_->force_state(u, v, truth, false);
-      sched_.set_request(u, v, truth);
-    }
-  }
 }
 
 }  // namespace pmx

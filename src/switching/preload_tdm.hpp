@@ -6,12 +6,8 @@
 
 #include "compiled/plan.hpp"
 #include "control/demand_estimator.hpp"
-#include "fabric/crossbar.hpp"
-#include "nic/control_plane.hpp"
-#include "nic/voq.hpp"
-#include "sched/tdm_scheduler.hpp"
 #include "sim/clock.hpp"
-#include "switching/network.hpp"
+#include "switching/tdm_base.hpp"
 
 namespace pmx {
 
@@ -25,17 +21,17 @@ namespace pmx {
 /// configuration registers, replacing a configuration as soon as its traffic
 /// budget has drained (the compiler knows exactly how many bytes each
 /// configuration will carry). Loading a register costs one scheduler pass
-/// (80 ns), overlapped with traffic in the other slots.
-class PreloadTdmNetwork final : public Network {
+/// (80 ns), overlapped with traffic in the other slots. The NIC and its
+/// request path are dynamic TDM's (TdmNetworkBase), without the grant line:
+/// requests only steer which loaded configurations the rotation visits.
+class PreloadTdmNetwork final : public TdmNetworkBase {
  public:
   PreloadTdmNetwork(Simulator& sim, const SystemParams& params,
                     CompiledPlan plan);
 
   [[nodiscard]] std::string name() const override { return "preload-tdm"; }
 
-  [[nodiscard]] const TdmScheduler& scheduler() const { return sched_; }
   [[nodiscard]] std::size_t current_phase() const { return phase_; }
-  [[nodiscard]] std::uint64_t queued_bytes() const;
 
   /// The EWMA demand estimator driving configuration load ranking, when
   /// params.reopt.enabled(). Preloaded plans are immutable (the compiler
@@ -47,34 +43,19 @@ class PreloadTdmNetwork final : public Network {
   }
 
  protected:
+  /// Checks the message against the plan and counts it against its phase.
   void do_submit(const Message& msg) override;
   /// A retransmitted copy re-enters the NIC: its bytes are re-credited to
   /// the compiled configuration budget so the phase does not retire before
   /// the copy has actually crossed the fabric.
   void do_retransmit(const Message& msg) override;
   void on_message_settled(const Message& msg) override;
-  void audit_control(std::vector<std::string>& out) override;
-  void resync_control() override;
-  [[nodiscard]] std::uint64_t source_queue_bytes(NodeId src) const override {
-    return voqs_[src].total_bytes();
-  }
-  [[nodiscard]] std::size_t source_queue_msgs(NodeId src) const override {
-    return voqs_[src].total_depth();
-  }
-  std::optional<Message> remove_shed_victim(NodeId src, bool oldest,
-                                            TimeNs cutoff) override;
   /// A shed message's bytes will never cross the fabric, yet the compiled
   /// budget expects them: credit the configuration so the phase can retire.
   void on_message_shed(const Message& msg) override;
 
  private:
   void on_slot_tick();
-  /// Scheduler-side arrival of a request/release message (lossy control
-  /// channel only). Configurations are preloaded directly, so R only feeds
-  /// the skip-unrequested-slots rotation -- there is no grant line.
-  void apply_request(NodeId u, NodeId v, bool value);
-  /// Clear request bits whose NIC went silent past the lease (lost release).
-  void lease_scan();
   /// Load pending configurations of the current phase into free slots.
   void fill_free_slots();
   /// Demand-window roll tick (reopt service period): fold VOQ occupancy
@@ -85,12 +66,6 @@ class PreloadTdmNetwork final : public Network {
   /// Move to the next phase once the current one drains.
   void maybe_advance_phase();
 
-  TdmScheduler sched_;
-  Crossbar xbar_;
-  std::vector<VoqSet> voqs_;
-  /// Lossy request/release endpoints (no grant line); nullptr when the
-  /// control-fault layer is off.
-  std::unique_ptr<ControlPlane> plane_;
   CompiledPlan plan_;
 
   std::size_t phase_ = 0;

@@ -3,35 +3,20 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "predictor/policy_engine.hpp"
 
 namespace pmx {
-
-namespace {
-
-TdmScheduler::Options scheduler_options(const SystemParams& params,
-                                        const TdmNetwork::Options& options) {
-  TdmScheduler::Options o;
-  o.num_ports = params.num_nodes;
-  o.num_slots = params.mux_degree;
-  o.rotate_priority = options.rotate_priority;
-  o.multi_slot_connections = options.multi_slot_connections;
-  o.skip_unrequested_slots = options.skip_idle_slots;
-  return o;
-}
-
-}  // namespace
 
 TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params)
     : TdmNetwork(sim, params, Options{}) {}
 
 TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
                        Options options)
-    : Network(sim, params),
-      sched_(scheduler_options(params, options)),
-      xbar_(params.num_nodes, FabricKind::kLvds),
-      voqs_(params.num_nodes, VoqSet(params.num_nodes)),
-      predictor_(options.predictor ? std::move(options.predictor)
-                                   : make_no_predictor()),
+    : TdmNetworkBase(sim, params, options.multi_slot_connections,
+                     /*grant_line=*/true),
+      predictor_(options.predictor
+                     ? std::move(options.predictor)
+                     : make_policy(PolicySpec::parse("none"))),
       slot_clock_(sim, params.slot_length, [this] { on_slot_tick(); }),
       sl_clock_(sim, params.scheduler_latency, [this] { on_sl_tick(); }),
       sl_units_(options.sl_units == 0 ? 1 : options.sl_units),
@@ -42,12 +27,6 @@ TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
               "receive buffer smaller than one slot payload would deadlock");
     PMX_CHECK(rx_drain_ > 0, "finite receive buffer needs a drain rate");
     rx_occupancy_.assign(params.num_nodes, 0);
-  }
-  if (admission_enabled()) {
-    for (auto& voq : voqs_) {
-      voq.set_capacity(params.admission.capacity_bytes,
-                       params.admission.capacity_msgs);
-    }
   }
   starvation_slots_ = options.starvation_slots;
   if (starvation_slots_ > 0) {
@@ -61,16 +40,6 @@ TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
       sched_.set_stuck_cell(u, v);
     }
     fm->subscribe([this](NodeId node, bool up) { on_link_change(node, up); });
-  }
-  if (control_faulty()) {
-    ControlPlane::Options po;
-    po.num_nodes = params.num_nodes;
-    po.wire_latency = params.control_wire_latency();
-    po.grant_line = true;
-    po.heal = params.ctrl.heal;
-    plane_ = std::make_unique<ControlPlane>(
-        sim, *control_fault(), po, counters(),
-        [this](NodeId u, NodeId v, bool value) { apply_request(u, v, value); });
   }
   if (params.reopt.enabled()) {
     ReoptService::Hooks hooks;
@@ -130,41 +99,6 @@ std::uint64_t TdmNetwork::apply_reopt(const std::vector<BitMatrix>& tables,
   return resync_views();
 }
 
-void TdmNetwork::apply_request(NodeId u, NodeId v, bool value) {
-  if (!value) {
-    sched_.set_request(u, v, false);
-    return;
-  }
-  plane_->refresh_lease(u, v);
-  sched_.set_request(u, v, true);
-  if (sched_.is_established(u, v)) {
-    // Duplicate request on a live connection (watchdog reissue after a lost
-    // grant): re-acknowledge so the NIC's granted-belief converges.
-    plane_->send_grant(u, v, true);
-  }
-}
-
-void TdmNetwork::lease_scan() {
-  const BitMatrix& requests = sched_.requests();
-  std::vector<std::pair<NodeId, NodeId>> expired;
-  for (NodeId u = 0; u < params_.num_nodes; ++u) {
-    requests.row(u).for_each_set([&](std::size_t v) {
-      if (plane_->lease_expired(u, v)) {
-        expired.emplace_back(u, v);
-      }
-    });
-  }
-  for (const auto& [u, v] : expired) {
-    // The NIC has been silent on (u, v) longer than the lease: its release
-    // message was lost. Drop the stale request bit (the next SL pass over
-    // the slot releases the connection) and tell the NIC; a NIC that still
-    // wants the pair re-requests on revoke arrival.
-    counters().counter("lease_expiries") += 1;
-    sched_.set_request(u, v, false);
-    plane_->send_grant(u, v, false);
-  }
-}
-
 void TdmNetwork::on_link_change(NodeId node, bool up) {
   if (!up) {
     // Mask the dead port out of the request/grant matrices and
@@ -192,39 +126,6 @@ void TdmNetwork::flush_hint() {
   sched_.flush_dynamic();
   predictor_->on_flush();
   counters().counter("flushes") += 1;
-}
-
-std::uint64_t TdmNetwork::queued_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& voq : voqs_) {
-    total += voq.total_bytes();
-  }
-  return total;
-}
-
-void TdmNetwork::do_submit(const Message& msg) {
-  voqs_[msg.src].push(msg);
-  if (plane_) {
-    plane_->want(msg.src, msg.dst);
-  } else {
-    sched_.set_request(msg.src, msg.dst, true);
-  }
-}
-
-std::optional<Message> TdmNetwork::remove_shed_victim(NodeId src, bool oldest,
-                                                      TimeNs cutoff) {
-  auto victim = voqs_[src].evict(oldest, cutoff, std::nullopt);
-  if (victim.has_value() && voqs_[src].empty(victim->dst)) {
-    // The eviction drained the VOQ: withdraw the request exactly like the
-    // slot-drain path does, or the scheduler would keep a slot established
-    // for traffic that no longer exists.
-    if (plane_) {
-      plane_->unwant(src, victim->dst);
-    } else {
-      sched_.set_request(src, victim->dst, false);
-    }
-  }
-  return victim;
 }
 
 void TdmNetwork::on_slot_tick() {
@@ -271,13 +172,10 @@ void TdmNetwork::on_slot_tick() {
   }
 
   const auto slot = sched_.advance_slot();
-  xbar_.load(sched_.active_config());
   if (!slot) {
     counters().counter("idle_slots") += 1;
     starvation_scan();
-    if (plane_) {
-      lease_scan();
-    }
+    lease_scan();
     return;
   }
 
@@ -316,23 +214,7 @@ void TdmNetwork::on_slot_tick() {
         counters().counter("backpressure_stalls") += 1;
       }
     }
-    std::uint64_t sent = 0;
-    while (budget > 0 && !voqs_[u].empty(v)) {
-      Message completed;
-      const std::uint64_t taken = voqs_[u].consume(v, budget, &completed);
-      budget -= taken;
-      sent += taken;
-      if (completed.id != 0) {
-        // Last byte of this message leaves the NIC `sent` bytes into the
-        // slot's data window; it lands after the passive-fabric pipe plus
-        // the receive NIC cycle.
-        const TimeNs done = slot_start + link_.serialization(sent);
-        notify_send_done(completed, done);
-        notify_delivered(completed, done,
-                         done + params_.passive_path_latency() +
-                             params_.nic_cycle);
-      }
-    }
+    const std::uint64_t sent = transmit(u, v, budget, slot_start);
     counters().counter("slot_bytes") += sent;
     if (reopt_ && sent > 0) {
       reopt_->observe(u, v, sent);
@@ -343,29 +225,15 @@ void TdmNetwork::on_slot_tick() {
     if (rx_buffer_ > 0) {
       rx_occupancy_[v] += sent;
     }
-    if (plane_ && sent > 0) {
-      plane_->note_progress(u, v);
-      plane_->refresh_lease(u, v);
-    }
     predictor_->on_use(Conn{u, v}, slot_start);
-    if (voqs_[u].empty(v)) {
-      if (plane_) {
-        // The release crosses the lossy control channel; R[u][v] clears on
-        // arrival (or by lease expiry if the message is lost).
-        plane_->unwant(u, v);
-      } else {
-        sched_.set_request(u, v, false);
-      }
-      if (predictor_->should_hold(Conn{u, v})) {
-        sched_.hold(u, v);
-        predictor_->on_hold(Conn{u, v}, slot_start);
-      }
+    if (voqs_[u].empty(v) && predictor_->should_hold(Conn{u, v})) {
+      // The request just dropped; the predictor may latch the connection.
+      sched_.hold(u, v);
+      predictor_->on_hold(Conn{u, v}, slot_start);
     }
   }
   starvation_scan();
-  if (plane_) {
-    lease_scan();
-  }
+  lease_scan();
 }
 
 void TdmNetwork::on_sl_tick() {
@@ -394,14 +262,13 @@ void TdmNetwork::on_sl_tick() {
 
 void TdmNetwork::audit_control(std::vector<std::string>& out) {
   sched_.audit_invariants(out);
-  const std::size_t n = params_.num_nodes;
   if (predictor_->mirrors_holds()) {
     // Hold conservation: the policy engine mirrors every hold latch, and
     // every unlatch path notifies it, so the two hold sets must be
     // bit-identical. Divergence means a policy-engine bookkeeping bug that
     // would otherwise only show up as silent goodput loss.
     std::size_t held = 0;
-    for (NodeId u = 0; u < n; ++u) {
+    for (NodeId u = 0; u < params_.num_nodes; ++u) {
       sched_.holds().row(u).for_each_set([&](std::size_t v) {
         ++held;
         if (!predictor_->believes_held(Conn{u, v})) {
@@ -419,71 +286,7 @@ void TdmNetwork::audit_control(std::vector<std::string>& out) {
                     std::to_string(predictor_->held_count()));
     }
   }
-  if (!plane_) {
-    return;
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v) {
-        continue;
-      }
-      const bool r = sched_.request(u, v);
-      const bool wants = plane_->wants(u, v);
-      if (r && !wants && !plane_->inflight(u, v) && !plane_->lease_active()) {
-        // Leak: the scheduler serves a request the NIC abandoned, no release
-        // is in flight, and no lease will ever reap it.
-        out.push_back("leaked request (" + std::to_string(u) + " -> " +
-                      std::to_string(v) +
-                      "): scheduler holds R for a NIC that dropped it");
-      }
-      if (wants && !r && !sched_.is_established(u, v) &&
-          !plane_->inflight(u, v) && !plane_->watchdog_armed(u, v)) {
-        // Wedge: the NIC waits for a connection the scheduler never heard
-        // of, and nothing (in-flight message or watchdog) can fix that.
-        out.push_back("wedged NIC (" + std::to_string(u) + " -> " +
-                      std::to_string(v) +
-                      "): intent raised but no request, grant, or watchdog "
-                      "pending");
-      }
-      if (wants && sched_.is_established(u, v) && !plane_->granted(u, v) &&
-          !plane_->inflight(u, v) && !plane_->watchdog_armed(u, v)) {
-        // Wedge: the connection is live but the grant reply was lost and
-        // nothing will ever re-deliver it -- the slot burns idle grants.
-        out.push_back("wedged NIC (" + std::to_string(u) + " -> " +
-                      std::to_string(v) +
-                      "): connection established but the grant was lost");
-      }
-    }
-  }
-}
-
-std::size_t TdmNetwork::resync_views() {
-  // Full out-of-band state exchange: both views are rebuilt from ground
-  // truth (the VOQ occupancy on the NIC side, B* on the scheduler side).
-  // Resync is lossless by construction -- it models a maintenance channel,
-  // not the lossy request/grant wires.
-  const std::size_t invalidated = plane_ ? plane_->begin_resync() : 0;
-  const std::size_t n = params_.num_nodes;
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v) {
-        continue;
-      }
-      const bool truth = !voqs_[u].empty(v);
-      if (plane_) {
-        plane_->force_state(u, v, truth, sched_.is_established(u, v));
-      }
-      sched_.set_request(u, v, truth);
-    }
-  }
-  return invalidated;
-}
-
-void TdmNetwork::resync_control() {
-  if (!plane_) {
-    return;
-  }
-  resync_views();
+  audit_requests(out);
 }
 
 }  // namespace pmx

@@ -4,43 +4,35 @@
 #include <vector>
 
 #include "control/reopt_service.hpp"
-#include "fabric/crossbar.hpp"
-#include "nic/control_plane.hpp"
-#include "nic/voq.hpp"
 #include "predictor/predictor.hpp"
-#include "sched/tdm_scheduler.hpp"
 #include "sim/clock.hpp"
-#include "switching/network.hpp"
+#include "switching/tdm_base.hpp"
 
 namespace pmx {
 
 /// Dynamic (reactive) multiplexed switching -- the system of Section 4.
 ///
-/// NICs keep one logical output queue per destination; the non-empty bitmap
-/// of those queues is the request matrix R presented to the scheduler. Every
+/// The NICs' VOQs raise the request matrix R (TdmNetworkBase). Every
 /// SL-clock period (one scheduler pass, 80 ns) the scheduler inserts newly
 /// requested connections into one of the K slot configurations and releases
 /// connections whose requests (and holds) have dropped. Every time-slot
 /// clock period (100 ns) the TDM counter advances to the next non-empty
 /// configuration, the crossbar is reconfigured, and every granted connection
 /// moves up to slot_payload_bytes() of data (the rest of the slot is the
-/// guard band).
+/// guard band). With a lossy control channel the scheduler's grant reply is
+/// modeled too, and a NIC drives data only once it has seen its grant.
 ///
 /// An eviction predictor (Section 3.2) may latch connections past the drop
 /// of their request signal (Section 4, extension 3); preloading pinned
 /// configurations before the run turns this into the hybrid
 /// preload+dynamic network of Figure 5.
-class TdmNetwork : public Network {
+class TdmNetwork : public TdmNetworkBase {
  public:
   struct Options {
-    /// Eviction predictor; nullptr means NoPredictor (pure reactive).
+    /// Eviction predictor; nullptr means the "none" policy (pure reactive).
     std::unique_ptr<Predictor> predictor;
     /// Section 4 extension 2: replicate connections into idle slots.
     bool multi_slot_connections = false;
-    bool rotate_priority = true;
-    /// Skip slots whose connections have no pending requests (see
-    /// TdmScheduler::Options::skip_unrequested_slots).
-    bool skip_idle_slots = true;
     /// Section 4 extension 1: number of scheduling-logic copies. Each SL
     /// clock edge runs this many passes against successive slots, modeling
     /// parallel SL units with the requests partitioned among them.
@@ -70,8 +62,6 @@ class TdmNetwork : public Network {
 
   void flush_hint() override;
 
-  [[nodiscard]] const TdmScheduler& scheduler() const { return sched_; }
-  [[nodiscard]] const Crossbar& crossbar() const { return xbar_; }
   [[nodiscard]] const Predictor& predictor() const { return *predictor_; }
 
   /// The online re-optimization service, when params.reopt.enabled().
@@ -83,52 +73,26 @@ class TdmNetwork : public Network {
     return reopt_ ? &reopt_->stats() : nullptr;
   }
 
-  /// Pending bytes still queued in the VOQs (for drain checks in tests).
-  [[nodiscard]] std::uint64_t queued_bytes() const;
   /// Current input-buffer occupancy of node `v` (0 with unlimited buffers).
   [[nodiscard]] std::uint64_t receiver_occupancy(NodeId v) const {
     return rx_occupancy_.empty() ? 0 : rx_occupancy_[v];
   }
 
  protected:
-  void do_submit(const Message& msg) override;
+  /// Scheduler invariants, the predictor's hold mirror, then the
+  /// request-vs-intent audit.
   void audit_control(std::vector<std::string>& out) override;
-  void resync_control() override;
-  [[nodiscard]] std::uint64_t source_queue_bytes(NodeId src) const override {
-    return voqs_[src].total_bytes();
-  }
-  [[nodiscard]] std::size_t source_queue_msgs(NodeId src) const override {
-    return voqs_[src].total_depth();
-  }
-  std::optional<Message> remove_shed_victim(NodeId src, bool oldest,
-                                            TimeNs cutoff) override;
 
  private:
   void on_slot_tick();
   void on_sl_tick();
   void on_link_change(NodeId node, bool up);
-  /// Scheduler-side arrival of a request (value) or release (!value)
-  /// message from NIC u for destination v (lossy control channel only).
-  void apply_request(NodeId u, NodeId v, bool value);
-  /// Lease sweep: clear request bits whose NIC has been silent longer than
-  /// the lease (the release message was lost) and revoke their grants.
-  void lease_scan();
-  /// Rebuild the NIC and scheduler request views from ground truth (VOQ
-  /// occupancy / B*). Returns the number of in-flight control messages the
-  /// epoch bump invalidated (0 without a lossy control plane).
-  std::size_t resync_views();
   /// The re-optimization service's apply hook: install the proposed tables
   /// (pinned on apply, unpinned on rollback), flush learned state, and
   /// resync both control views through the A7 path. Returns the invalidated
   /// in-flight control-message count (disruption accounting).
   std::uint64_t apply_reopt(const std::vector<BitMatrix>& tables, bool pinned);
 
-  TdmScheduler sched_;
-  Crossbar xbar_;
-  std::vector<VoqSet> voqs_;
-  /// Lossy request/grant/release endpoints; nullptr when the control-fault
-  /// layer is off (requests then drive R as lossless wires, the seed model).
-  std::unique_ptr<ControlPlane> plane_;
   std::unique_ptr<Predictor> predictor_;
   /// Online slot-table re-optimization service; nullptr when disabled.
   std::unique_ptr<ReoptService> reopt_;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "fabric/crossbar.hpp"
 #include "fabric/link.hpp"
 
 namespace pmx {
@@ -56,66 +55,6 @@ TEST(LinkModel, CustomBandwidth) {
   LinkModel link(p);
   // 125 bytes in 1 us at 1 Gb/s (the paper's example).
   EXPECT_EQ(link.bytes_in(1_us), 125u);
-}
-
-TEST(Crossbar, HopDelayByKind) {
-  EXPECT_EQ(Crossbar(4, FabricKind::kDigital).hop_delay(), 10_ns);
-  EXPECT_EQ(Crossbar(4, FabricKind::kLvds).hop_delay(), 0_ns);
-  EXPECT_EQ(Crossbar(4, FabricKind::kOptical).hop_delay(), 0_ns);
-}
-
-TEST(Crossbar, StartsDisconnected) {
-  Crossbar xbar(8, FabricKind::kLvds);
-  for (std::size_t u = 0; u < 8; ++u) {
-    EXPECT_EQ(xbar.output_of(u), std::nullopt);
-    EXPECT_EQ(xbar.input_of(u), std::nullopt);
-  }
-}
-
-TEST(Crossbar, LoadConnects) {
-  Crossbar xbar(4, FabricKind::kLvds);
-  BitMatrix cfg(4);
-  cfg.set(0, 2);
-  cfg.set(3, 1);
-  xbar.load(cfg);
-  EXPECT_TRUE(xbar.connected(0, 2));
-  EXPECT_FALSE(xbar.connected(0, 1));
-  EXPECT_EQ(xbar.output_of(0), 2u);
-  EXPECT_EQ(xbar.input_of(2), 0u);
-  EXPECT_EQ(xbar.output_of(3), 1u);
-  EXPECT_EQ(xbar.output_of(1), std::nullopt);
-}
-
-TEST(Crossbar, StageDoesNotTakeEffectUntilCommit) {
-  Crossbar xbar(4, FabricKind::kLvds);
-  BitMatrix cfg(4);
-  cfg.set(1, 1);
-  xbar.stage(cfg);
-  EXPECT_FALSE(xbar.connected(1, 1));  // still the old (empty) config
-  xbar.commit();
-  EXPECT_TRUE(xbar.connected(1, 1));
-}
-
-TEST(Crossbar, ReconfigurationCountsOnlyChanges) {
-  Crossbar xbar(4, FabricKind::kLvds);
-  BitMatrix cfg(4);
-  cfg.set(0, 0);
-  xbar.load(cfg);
-  xbar.load(cfg);  // identical: commit but no reconfiguration
-  EXPECT_EQ(xbar.commits(), 2u);
-  EXPECT_EQ(xbar.reconfigurations(), 1u);
-  BitMatrix other(4);
-  other.set(0, 1);
-  xbar.load(other);
-  EXPECT_EQ(xbar.reconfigurations(), 2u);
-}
-
-TEST(CrossbarDeathTest, RejectsConflictedConfiguration) {
-  Crossbar xbar(4, FabricKind::kLvds);
-  BitMatrix bad(4);
-  bad.set(0, 1);
-  bad.set(2, 1);  // two inputs on output 1
-  EXPECT_DEATH(xbar.stage(bad), "partial permutation");
 }
 
 }  // namespace

@@ -19,9 +19,8 @@ inline std::string fmt_double(double v) {
 
 /// Canonical textual fingerprint of one run: every RunMetrics field in
 /// declaration order plus every paradigm counter (already sorted -- the
-/// CounterSet is a std::map). The policy-conformance suite compares these
-/// byte-for-byte against goldens captured from the pre-refactor
-/// TimeoutPredictor/CounterPredictor implementations.
+/// CounterSet is a std::map). The policy- and paradigm-conformance suites
+/// compare these byte-for-byte against their committed goldens.
 inline std::string fingerprint(const std::string& label, const RunResult& r) {
   std::ostringstream os;
   const RunMetrics& m = r.metrics;
@@ -47,6 +46,21 @@ inline std::string fingerprint(const std::string& label, const RunResult& r) {
   os << "forced_releases " << m.forced_releases << "\n";
   os << "recovery_mean_ns " << fmt_double(m.recovery_mean_ns) << "\n";
   os << "recovery_max_ns " << fmt_double(m.recovery_max_ns) << "\n";
+  os << "offered_load " << fmt_double(m.offered_load) << "\n";
+  os << "accepted_load " << fmt_double(m.accepted_load) << "\n";
+  os << "shed_messages " << m.shed_messages << "\n";
+  os << "shed_bytes " << m.shed_bytes << "\n";
+  os << "shed_newest " << m.shed_newest << "\n";
+  os << "shed_oldest " << m.shed_oldest << "\n";
+  os << "shed_deadline " << m.shed_deadline << "\n";
+  os << "shed_oversize " << m.shed_oversize << "\n";
+  os << "backpressure_rejects " << m.backpressure_rejects << "\n";
+  os << "backpressure_stall_ns " << m.backpressure_stall_ns << "\n";
+  os << "queue_depth_p50 " << fmt_double(m.queue_depth_p50) << "\n";
+  os << "queue_depth_p99 " << fmt_double(m.queue_depth_p99) << "\n";
+  os << "queue_depth_max " << m.queue_depth_max << "\n";
+  os << "recovery_after_burst_ns " << fmt_double(m.recovery_after_burst_ns)
+     << "\n";
   os << "ctrl_messages " << m.ctrl_messages << "\n";
   os << "ctrl_dropped " << m.ctrl_dropped << "\n";
   os << "ctrl_corrupted " << m.ctrl_corrupted << "\n";
@@ -59,6 +73,19 @@ inline std::string fingerprint(const std::string& label, const RunResult& r) {
   os << "resync_latency_mean_ns " << fmt_double(m.resync_latency_mean_ns)
      << "\n";
   os << "resync_latency_max_ns " << fmt_double(m.resync_latency_max_ns)
+     << "\n";
+  os << "reopt_solves " << m.reopt_solves << "\n";
+  os << "reopt_proposals " << m.reopt_proposals << "\n";
+  os << "reopt_applies " << m.reopt_applies << "\n";
+  os << "reopt_rollbacks " << m.reopt_rollbacks << "\n";
+  os << "reopt_cmds_lost " << m.reopt_cmds_lost << "\n";
+  os << "reopt_invalidated_ctrl " << m.reopt_invalidated_ctrl << "\n";
+  os << "reopt_apply_latency_p50_ns "
+     << fmt_double(m.reopt_apply_latency_p50_ns) << "\n";
+  os << "reopt_apply_latency_p99_ns "
+     << fmt_double(m.reopt_apply_latency_p99_ns) << "\n";
+  os << "reopt_dip_depth_bytes " << m.reopt_dip_depth_bytes << "\n";
+  os << "reopt_dip_duration_ns " << fmt_double(m.reopt_dip_duration_ns)
      << "\n";
   for (const auto& [name, value] : r.counters) {
     os << "counter " << name << " " << value << "\n";

@@ -4,7 +4,6 @@
 
 #include "predictor/policy_engine.hpp"
 #include "predictor/predictor.hpp"
-#include "predictor/timeout_predictor.hpp"
 
 namespace pmx {
 namespace {
@@ -310,10 +309,6 @@ TEST(PolicySpecDeathTest, RejectsBadSpecs) {
 }
 
 TEST(PolicyFactories, ProduceExpectedNames) {
-  EXPECT_EQ(make_no_predictor()->name(), "none");
-  EXPECT_EQ(make_never_evict_predictor()->name(), "never-evict");
-  EXPECT_EQ(make_timeout_predictor(100_ns)->name(), "timeout");
-  EXPECT_EQ(make_counter_predictor(8)->name(), "counter");
   EXPECT_EQ(make_policy(PolicySpec::parse("lru:4"))->name(), "lru");
   EXPECT_EQ(make_policy(PolicySpec::parse("lfu-decay:4"))->name(),
             "lfu-decay");

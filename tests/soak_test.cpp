@@ -7,8 +7,7 @@
 
 #include "common/rng.hpp"
 #include "nic/admission.hpp"
-#include "predictor/phase_predictor.hpp"
-#include "predictor/timeout_predictor.hpp"
+#include "predictor/policy_engine.hpp"
 #include "sim/simulator.hpp"
 #include "switching/circuit.hpp"
 #include "switching/tdm.hpp"
@@ -30,7 +29,7 @@ TEST_P(TdmSoakTest, InvariantsHoldUnderRandomChurn) {
   params.mux_degree = 4;
   TdmNetwork::Options options;
   options.multi_slot_connections = multi_slot;
-  options.predictor = make_timeout_predictor(300_ns);
+  options.predictor = make_policy(PolicySpec::parse("timeout:300"));
   TdmNetwork net(sim, params, std::move(options));
 
   Rng rng(seed);
@@ -97,7 +96,10 @@ TEST(TdmSoak, PhasePredictorSurvivesChurn) {
   SystemParams params;
   params.num_nodes = 16;
   TdmNetwork::Options options;
-  options.predictor = make_phase_predictor(500_ns, 2_us, 0.3);
+  PolicySpec spec = PolicySpec::parse("phase:500");
+  spec.phase_epoch_ns = 2'000;
+  spec.phase_shift_threshold = 0.3;
+  options.predictor = make_policy(spec);
   TdmNetwork net(sim, params, std::move(options));
   Rng rng(99);
   std::uint64_t submitted = 0;

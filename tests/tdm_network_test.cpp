@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "predictor/phase_predictor.hpp"
-#include "predictor/timeout_predictor.hpp"
+#include "predictor/policy_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace pmx {
@@ -88,7 +87,7 @@ TEST(TdmNetwork, RequestsTrackVoqState) {
 TEST(TdmNetwork, TimeoutPredictorReleasesIdleConnection) {
   Simulator sim;
   TdmNetwork::Options options;
-  options.predictor = make_timeout_predictor(200_ns);
+  options.predictor = make_policy(PolicySpec::parse("timeout:200"));
   TdmNetwork net(sim, small_params(), std::move(options));
   net.submit(0, 1, 64);
   sim.run_until(5_us);
@@ -107,7 +106,7 @@ TEST(TdmNetwork, NoPredictorReleasesImmediately) {
 TEST(TdmNetwork, HoldKeepsConnectionForReuse) {
   Simulator sim;
   TdmNetwork::Options options;
-  options.predictor = make_never_evict_predictor();
+  options.predictor = make_policy(PolicySpec::parse("never-evict"));
   TdmNetwork net(sim, small_params(), std::move(options));
   net.submit(0, 1, 64);
   sim.run_until(2_us);
@@ -123,7 +122,7 @@ TEST(TdmNetwork, HoldKeepsConnectionForReuse) {
 TEST(TdmNetwork, FlushHintDropsDynamicState) {
   Simulator sim;
   TdmNetwork::Options options;
-  options.predictor = make_never_evict_predictor();
+  options.predictor = make_policy(PolicySpec::parse("never-evict"));
   TdmNetwork net(sim, small_params(), std::move(options));
   net.submit(0, 1, 64);
   sim.run_until(2_us);
@@ -174,7 +173,7 @@ TEST(TdmNetwork, MultiSlotExtensionIncreasesBandwidth) {
     Simulator sim;
     TdmNetwork::Options options;
     options.multi_slot_connections = multi_slot;
-    options.predictor = make_never_evict_predictor();
+    options.predictor = make_policy(PolicySpec::parse("never-evict"));
     TdmNetwork net(sim, small_params(), std::move(options));
     net.submit(0, 1, 4096);
     net.submit(2, 3, 64);  // keeps a second slot occupied briefly
@@ -187,7 +186,7 @@ TEST(TdmNetwork, MultiSlotExtensionIncreasesBandwidth) {
 TEST(TdmNetwork, SlotSkippingIdlesWhenNoRequests) {
   Simulator sim;
   TdmNetwork::Options options;
-  options.predictor = make_never_evict_predictor();
+  options.predictor = make_policy(PolicySpec::parse("never-evict"));
   TdmNetwork net(sim, small_params(), std::move(options));
   net.submit(0, 1, 64);
   sim.run_until(5_us);
@@ -225,7 +224,10 @@ TEST(TdmNetwork, PhasePredictorAutoFlushesOnPhaseChange) {
   TdmNetwork::Options options;
   // Long timeout so only the phase detector can clear stale state; short
   // tracking epoch so the shift is seen quickly.
-  options.predictor = make_phase_predictor(50'000_ns, 500_ns, 0.5);
+  PolicySpec spec = PolicySpec::parse("phase:50000");
+  spec.phase_epoch_ns = 500;
+  spec.phase_shift_threshold = 0.5;
+  options.predictor = make_policy(spec);
   TdmNetwork net(sim, small_params(8, 4), std::move(options));
   // Phase A: a stable working set.
   for (NodeId u = 0; u < 4; ++u) {

@@ -200,6 +200,16 @@ TEST(TdmScheduler, AllSlotsPinnedMeansNoDynamicScheduling) {
   EXPECT_FALSE(sched.is_established(2, 3));
 }
 
+TEST(TdmSchedulerDeathTest, PreloadRejectsConflictedConfiguration) {
+  // A configuration register cannot hold a conflicted state: two inputs on
+  // one output is refused where the register is written.
+  TdmScheduler sched(opts(4, 2));
+  BitMatrix bad(4);
+  bad.set(0, 1);
+  bad.set(2, 1);
+  EXPECT_DEATH(sched.preload(0, bad), "partial permutation");
+}
+
 TEST(TdmScheduler, UnloadFreesSlot) {
   TdmScheduler sched(opts(4, 2));
   BitMatrix cfg(4);

@@ -2,12 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include "predictor/phase_predictor.hpp"
+#include "predictor/policy_engine.hpp"
 
 namespace pmx {
 namespace {
 
 using namespace pmx::literals;
+
+/// The "phase" policy: the timeout rank plus a WorkingSetTracker.
+std::unique_ptr<Predictor> make_phase_policy(std::int64_t timeout_ns,
+                                             std::int64_t epoch_ns,
+                                             double shift_threshold = 0.25) {
+  PolicySpec spec = PolicySpec::parse("phase");
+  spec.timeout_ns = timeout_ns;
+  spec.phase_epoch_ns = epoch_ns;
+  spec.phase_shift_threshold = shift_threshold;
+  return make_policy(spec);
+}
 
 TEST(WorkingSetTracker, CountsDistinctConnections) {
   WorkingSetTracker tracker(1000_ns);
@@ -80,7 +91,7 @@ TEST(WorkingSetTracker, EpochsCompletedAdvances) {
 }
 
 TEST(PhasePredictor, EvictsLikeTimeout) {
-  const auto p = make_phase_predictor(100_ns, 1000_ns);
+  const auto p = make_phase_policy(100, 1000);
   p->on_establish(Conn{0, 1}, 0_ns);
   EXPECT_TRUE(p->should_hold(Conn{0, 1}));
   EXPECT_TRUE(p->collect_evictions(50_ns).empty());
@@ -88,7 +99,7 @@ TEST(PhasePredictor, EvictsLikeTimeout) {
 }
 
 TEST(PhasePredictor, RecommendsFlushOnWorkingSetShift) {
-  const auto p = make_phase_predictor(10000_ns, 100_ns, 0.5);
+  const auto p = make_phase_policy(10000, 100, 0.5);
   for (std::int64_t t = 0; t < 300; t += 10) {
     p->on_use(Conn{0, 1}, TimeNs{t});
   }
@@ -101,7 +112,7 @@ TEST(PhasePredictor, RecommendsFlushOnWorkingSetShift) {
 }
 
 TEST(PhasePredictor, FactoryProducesPhaseKind) {
-  EXPECT_EQ(make_phase_predictor(100_ns, 1000_ns)->name(), "phase");
+  EXPECT_EQ(make_phase_policy(100, 1000)->name(), "phase");
 }
 
 TEST(WorkingSetTrackerDeathTest, RejectsBadParameters) {
