@@ -21,57 +21,14 @@
 
 #include <cstdint>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "harness.hpp"
 #include "traffic/patterns.hpp"
-
-namespace {
-
-constexpr pmx::SwitchKind kKinds[] = {
-    pmx::SwitchKind::kWormhole,
-    pmx::SwitchKind::kCircuit,
-    pmx::SwitchKind::kDynamicTdm,
-    pmx::SwitchKind::kPreloadTdm,
-};
-
-struct ScenarioResult {
-  bool completed = false;
-  pmx::RunMetrics metrics;
-};
-
-ScenarioResult run(pmx::SwitchKind kind, const pmx::ControlFaultParams& ctrl,
-                   std::size_t period_slots, std::size_t nodes,
-                   const pmx::Workload& workload) {
-  pmx::RunConfig config;
-  config.params.num_nodes = nodes;
-  config.params.ctrl = ctrl;
-  // Arm the data-plane reliability layer with zero rates so the auditor's
-  // conservation check covers the full injected = delivered + dropped +
-  // in-flight ledger (timing-neutral, see ablation A6 "clean").
-  config.params.fault.force_enable = true;
-  config.params.audit.enabled = true;
-  config.params.audit.period_slots = period_slots;
-  config.params.audit.strict = false;  // recovery mode: resync, don't abort
-  config.kind = kind;
-  config.horizon = pmx::TimeNs{1'000'000'000};  // 1 s: survives heavy loss
-  const pmx::RunResult result = pmx::run_workload(config, workload);
-  return {result.completed, result.metrics};
-}
-
-std::string delivery_cell(const ScenarioResult& r, std::size_t messages) {
-  if (!r.completed) {
-    return "DNF";
-  }
-  return pmx::Table::fmt(static_cast<std::uint64_t>(r.metrics.messages)) +
-         "/" + pmx::Table::fmt(static_cast<std::uint64_t>(messages));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const pmx::Config cfg = pmx::Config::from_cli(argc, argv);
@@ -114,16 +71,19 @@ int main(int argc, char** argv) {
     scenarios.push_back(rescue);
   }
 
-  constexpr std::size_t kNumKinds = std::size(kKinds);
-  const std::vector<ScenarioResult> results = pmx::sweep_map<ScenarioResult>(
+  constexpr std::size_t kNumKinds = pmx::kSwitchKinds.size();
+  const std::vector<pmx::RunResult> results = pmx::run_sweep(
       scenarios.size() * kNumKinds,
       [&](std::size_t i) {
-        return run(kKinds[i % kNumKinds], scenarios[i / kNumKinds], period,
-                   nodes, workload);
+        pmx::RunConfig config =
+            pmx::bench::ledger_config(pmx::kSwitchKinds[i % kNumKinds], nodes);
+        config.params.ctrl = scenarios[i / kNumKinds];
+        config.params.audit.period_slots = period;
+        return pmx::run_workload(config, workload);
       },
       sweep);
   const auto scenario_result = [&](std::size_t s,
-                                   std::size_t k) -> const ScenarioResult& {
+                                   std::size_t k) -> const pmx::RunResult& {
     return results[s * kNumKinds + k];
   };
 
@@ -132,8 +92,9 @@ int main(int argc, char** argv) {
     pmx::Table table({"paradigm", "delivered", "goodput B/ns", "ctrl msgs",
                       "ctrl lost", "rerequests", "lease exp", "resyncs"});
     for (std::size_t k = 0; k < kNumKinds; ++k) {
-      const ScenarioResult& r = scenario_result(s, k);
-      table.add_row({pmx::to_string(kKinds[k]), delivery_cell(r, messages),
+      const pmx::RunResult& r = scenario_result(s, k);
+      table.add_row({pmx::to_string(pmx::kSwitchKinds[k]),
+                     pmx::bench::delivery_cell(r, messages),
                      pmx::Table::fmt(r.metrics.goodput, 4),
                      pmx::Table::fmt(r.metrics.ctrl_messages),
                      pmx::Table::fmt(r.metrics.ctrl_dropped),
@@ -150,8 +111,9 @@ int main(int argc, char** argv) {
     pmx::Table table({"paradigm", "delivered", "audits", "violations",
                       "resyncs", "recover mean ns", "recover max ns"});
     for (std::size_t k = 0; k < kNumKinds; ++k) {
-      const ScenarioResult& r = scenario_result(losses.size(), k);
-      table.add_row({pmx::to_string(kKinds[k]), delivery_cell(r, messages),
+      const pmx::RunResult& r = scenario_result(losses.size(), k);
+      table.add_row({pmx::to_string(pmx::kSwitchKinds[k]),
+                     pmx::bench::delivery_cell(r, messages),
                      pmx::Table::fmt(r.metrics.audits),
                      pmx::Table::fmt(r.metrics.audit_violations),
                      pmx::Table::fmt(r.metrics.resyncs),

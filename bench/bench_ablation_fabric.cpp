@@ -19,14 +19,17 @@
 #include "core/sweep.hpp"
 #include "fabric/fattree.hpp"
 #include "fabric/omega.hpp"
+#include "harness.hpp"
 #include "sim/simulator.hpp"
 #include "switching/preload_tdm.hpp"
 #include "traffic/patterns.hpp"
 
 namespace {
 
-double run_preload(const pmx::Workload& w, pmx::CompiledPlan plan,
-                   std::size_t nodes) {
+/// Runs `w` on a preload TDM network holding `plan`. Only `completed` and
+/// `metrics` are filled in.
+pmx::RunResult run_preload(const pmx::Workload& w, pmx::CompiledPlan plan,
+                           std::size_t nodes) {
   pmx::SystemParams params;
   params.num_nodes = nodes;
   pmx::Simulator sim;
@@ -34,16 +37,18 @@ double run_preload(const pmx::Workload& w, pmx::CompiledPlan plan,
   pmx::TrafficDriver driver(sim, net, w);
   driver.start();
   sim.run_until(pmx::TimeNs{50'000'000});
-  if (!driver.finished()) {
-    return -1.0;
+  pmx::RunResult result;
+  result.completed = driver.finished();
+  if (result.completed) {
+    result.metrics = pmx::compute_metrics(w, net);
   }
-  return pmx::compute_metrics(w, net).efficiency;
+  return result;
 }
 
-/// One (workload, fabric) point: plan degree + end-to-end efficiency.
+/// One (workload, fabric) point: plan degree + end-to-end run.
 struct FabricPoint {
   std::size_t degree = 0;
-  double efficiency = -1.0;
+  pmx::RunResult run;
 };
 
 }  // namespace
@@ -61,11 +66,7 @@ int main(int argc, char** argv) {
   const std::size_t leaves = 8;
   const pmx::FatTree tree(leaves, nodes / leaves, nodes / leaves / 2);
 
-  struct NamedWorkload {
-    std::string name;
-    pmx::Workload workload;
-  };
-  const std::vector<NamedWorkload> workloads{
+  const std::vector<pmx::bench::NamedWorkload> workloads{
       {"ordered-mesh", pmx::patterns::ordered_mesh(nodes, bytes, 2)},
       {"random-mesh", pmx::patterns::random_mesh(nodes, bytes, 2, 7)},
       {"uniform", pmx::patterns::uniform_random(nodes, bytes, 6, 7)},
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
         }();
         FabricPoint point;
         point.degree = plan.max_degree();
-        point.efficiency = run_preload(w, std::move(plan), nodes);
+        point.run = run_preload(w, std::move(plan), nodes);
         return point;
       },
       sweep);
@@ -105,15 +106,14 @@ int main(int argc, char** argv) {
     const FabricPoint& xbar = points[w * kFabrics + 0];
     const FabricPoint& om = points[w * kFabrics + 1];
     const FabricPoint& ft = points[w * kFabrics + 2];
-    const auto cell = [](double e) {
-      return e < 0 ? std::string("DNF") : pmx::Table::fmt(e, 3);
-    };
     table.add_row(
         {workloads[w].name,
          pmx::Table::fmt(static_cast<std::uint64_t>(xbar.degree)),
          pmx::Table::fmt(static_cast<std::uint64_t>(om.degree)),
          pmx::Table::fmt(static_cast<std::uint64_t>(ft.degree)),
-         cell(xbar.efficiency), cell(om.efficiency), cell(ft.efficiency)});
+         pmx::bench::efficiency_cell(xbar.run),
+         pmx::bench::efficiency_cell(om.run),
+         pmx::bench::efficiency_cell(ft.run)});
   }
   table.print(std::cout);
   std::cout << "\ndegree = configurations needed to realize the working set "

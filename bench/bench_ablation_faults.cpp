@@ -19,50 +19,14 @@
 
 #include <cstdint>
 #include <iostream>
-#include <string>
 #include <vector>
 
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "harness.hpp"
 #include "traffic/patterns.hpp"
-
-namespace {
-
-constexpr pmx::SwitchKind kKinds[] = {
-    pmx::SwitchKind::kWormhole,
-    pmx::SwitchKind::kCircuit,
-    pmx::SwitchKind::kDynamicTdm,
-    pmx::SwitchKind::kPreloadTdm,
-};
-
-struct ScenarioResult {
-  bool completed = false;
-  pmx::RunMetrics metrics;
-};
-
-ScenarioResult run(pmx::SwitchKind kind, const pmx::FaultParams& fault,
-                   std::size_t nodes, const pmx::Workload& workload) {
-  pmx::RunConfig config;
-  config.params.num_nodes = nodes;
-  config.params.fault = fault;
-  config.kind = kind;
-  config.horizon = pmx::TimeNs{1'000'000'000};  // 1 s: plenty for repairs
-  const pmx::RunResult result = pmx::run_workload(config, workload);
-  return {result.completed, result.metrics};
-}
-
-std::string delivery_cell(const ScenarioResult& r, std::size_t messages) {
-  if (!r.completed) {
-    return "DNF";
-  }
-  const std::size_t ok = r.metrics.messages;
-  return pmx::Table::fmt(static_cast<std::uint64_t>(ok)) + "/" +
-         pmx::Table::fmt(static_cast<std::uint64_t>(messages));
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const pmx::Config cfg = pmx::Config::from_cli(argc, argv);
@@ -112,17 +76,20 @@ int main(int argc, char** argv) {
     hard.max_link_faults = 16;
     scenarios.push_back(hard);
   }
-  constexpr std::size_t kNumKinds = std::size(kKinds);
-  const std::vector<ScenarioResult> results =
-      pmx::sweep_map<ScenarioResult>(
-          scenarios.size() * kNumKinds,
-          [&](std::size_t i) {
-            return run(kKinds[i % kNumKinds], scenarios[i / kNumKinds],
-                       nodes, workload);
-          },
-          sweep);
+  constexpr std::size_t kNumKinds = pmx::kSwitchKinds.size();
+  const std::vector<pmx::RunResult> results = pmx::run_sweep(
+      scenarios.size() * kNumKinds,
+      [&](std::size_t i) {
+        pmx::RunConfig config;
+        config.params.num_nodes = nodes;
+        config.params.fault = scenarios[i / kNumKinds];
+        config.kind = pmx::kSwitchKinds[i % kNumKinds];
+        config.horizon = pmx::TimeNs{1'000'000'000};  // 1 s: plenty for repairs
+        return pmx::run_workload(config, workload);
+      },
+      sweep);
   const auto scenario_result = [&](std::size_t s,
-                                   std::size_t k) -> const ScenarioResult& {
+                                   std::size_t k) -> const pmx::RunResult& {
     return results[s * kNumKinds + k];
   };
 
@@ -131,8 +98,9 @@ int main(int argc, char** argv) {
     pmx::Table table({"paradigm", "delivered", "goodput B/ns", "wire B/ns",
                       "retransmits"});
     for (std::size_t k = 0; k < kNumKinds; ++k) {
-      const ScenarioResult& r = scenario_result(0, k);
-      table.add_row({pmx::to_string(kKinds[k]), delivery_cell(r, messages),
+      const pmx::RunResult& r = scenario_result(0, k);
+      table.add_row({pmx::to_string(pmx::kSwitchKinds[k]),
+                     pmx::bench::delivery_cell(r, messages),
                      pmx::Table::fmt(r.metrics.goodput, 4),
                      pmx::Table::fmt(r.metrics.wire_throughput, 4),
                      pmx::Table::fmt(r.metrics.retransmits)});
@@ -146,8 +114,9 @@ int main(int argc, char** argv) {
     pmx::Table table({"paradigm", "delivered", "goodput B/ns", "wire B/ns",
                       "retransmits", "corrupt", "dup"});
     for (std::size_t k = 0; k < kNumKinds; ++k) {
-      const ScenarioResult& r = scenario_result(1 + b, k);
-      table.add_row({pmx::to_string(kKinds[k]), delivery_cell(r, messages),
+      const pmx::RunResult& r = scenario_result(1 + b, k);
+      table.add_row({pmx::to_string(pmx::kSwitchKinds[k]),
+                     pmx::bench::delivery_cell(r, messages),
                      pmx::Table::fmt(r.metrics.goodput, 4),
                      pmx::Table::fmt(r.metrics.wire_throughput, 4),
                      pmx::Table::fmt(r.metrics.retransmits),
@@ -163,9 +132,10 @@ int main(int argc, char** argv) {
     pmx::Table table({"paradigm", "delivered", "faults", "forced rel",
                       "recover mean ns", "recover max ns"});
     for (std::size_t k = 0; k < kNumKinds; ++k) {
-      const ScenarioResult& r = scenario_result(1 + bers.size(), k);
+      const pmx::RunResult& r = scenario_result(1 + bers.size(), k);
       table.add_row(
-          {pmx::to_string(kKinds[k]), delivery_cell(r, messages),
+          {pmx::to_string(pmx::kSwitchKinds[k]),
+           pmx::bench::delivery_cell(r, messages),
            pmx::Table::fmt(static_cast<std::uint64_t>(r.metrics.link_faults)),
            pmx::Table::fmt(
                static_cast<std::uint64_t>(r.metrics.forced_releases)),

@@ -12,6 +12,7 @@
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "harness.hpp"
 #include "traffic/patterns.hpp"
 
 int main(int argc, char** argv) {
@@ -23,11 +24,7 @@ int main(int argc, char** argv) {
   const pmx::SweepOptions sweep{cfg.get_uint("jobs", 1)};
   cfg.fail_unread("bench_ablation_mux");
 
-  struct NamedWorkload {
-    std::string name;
-    pmx::Workload workload;
-  };
-  const std::vector<NamedWorkload> workloads{
+  const std::vector<pmx::bench::NamedWorkload> workloads{
       {"random-mesh", pmx::patterns::random_mesh(nodes, bytes, 2, 7)},
       {"all-to-all", pmx::patterns::all_to_all(nodes, bytes)},
       {"uniform", pmx::patterns::uniform_random(nodes, bytes, 8, 7)},
@@ -59,11 +56,8 @@ int main(int argc, char** argv) {
       std::vector<std::string> row{pmx::Table::fmt(
           static_cast<std::uint64_t>(degrees[d]))};
       for (std::size_t k = 0; k < kinds.size(); ++k) {
-        const pmx::RunResult& result =
-            results[w * per_workload + d * kinds.size() + k];
-        row.push_back(result.completed
-                          ? pmx::Table::fmt(result.metrics.efficiency, 3)
-                          : std::string("DNF"));
+        row.push_back(pmx::bench::efficiency_cell(
+            results[w * per_workload + d * kinds.size() + k]));
       }
       table.add_row(std::move(row));
     }

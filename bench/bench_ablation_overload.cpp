@@ -28,18 +28,13 @@
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "harness.hpp"
 #include "nic/admission.hpp"
 #include "traffic/arrival.hpp"
 
 namespace {
 
-constexpr pmx::SwitchKind kKinds[] = {
-    pmx::SwitchKind::kWormhole,
-    pmx::SwitchKind::kCircuit,
-    pmx::SwitchKind::kDynamicTdm,
-    pmx::SwitchKind::kPreloadTdm,
-};
-constexpr std::size_t kNumKinds = std::size(kKinds);
+constexpr std::size_t kNumKinds = pmx::kSwitchKinds.size();
 
 struct Scenario {
   std::string label;
@@ -47,43 +42,17 @@ struct Scenario {
   pmx::ShedPolicy policy = pmx::ShedPolicy::kDropOldest;
 };
 
-struct ScenarioResult {
-  bool completed = false;
-  pmx::RunMetrics metrics;
-};
-
-ScenarioResult run(pmx::SwitchKind kind, const Scenario& scenario,
-                   std::uint64_t capacity, std::size_t nodes,
-                   const pmx::Workload& workload) {
-  pmx::RunConfig config;
-  config.params.num_nodes = nodes;
-  config.params.admission.capacity_bytes = capacity;
-  config.params.admission.policy = scenario.policy;
-  // Conservation is audited over the full ledger: injected == delivered +
-  // dropped + shed + in-flight. The zero-rate fault layer arms the ledger
-  // without perturbing timing (ablation A6 "clean").
-  config.params.fault.force_enable = true;
-  config.params.audit.enabled = true;
-  config.params.audit.strict = false;
-  config.kind = kind;
-  // Dynamic TDM arms the starvation watchdog: under skewed overload a cold
-  // source must not be crowded out of the schedule forever.
-  config.starvation_slots = 8;
-  config.horizon = pmx::TimeNs{1'000'000'000};  // drain deadline
-  const pmx::RunResult result = pmx::run_workload(config, workload);
-  return {result.completed, result.metrics};
-}
-
 void print_table(const std::string& title,
-                 const std::vector<ScenarioResult>& results,
+                 const std::vector<pmx::RunResult>& results,
                  std::size_t scenario_idx) {
   pmx::Table table({"paradigm", "done", "offered", "accepted", "shed msgs",
                     "bp stall ns", "depth p99", "depth max", "recover ns",
                     "tput B/ns"});
   for (std::size_t k = 0; k < kNumKinds; ++k) {
-    const ScenarioResult& r = results[scenario_idx * kNumKinds + k];
+    const pmx::RunResult& r = results[scenario_idx * kNumKinds + k];
     const pmx::RunMetrics& m = r.metrics;
-    table.add_row({pmx::to_string(kKinds[k]), r.completed ? "yes" : "DNF",
+    table.add_row({pmx::to_string(pmx::kSwitchKinds[k]),
+                   r.completed ? "yes" : "DNF",
                    pmx::Table::fmt(m.offered_load, 3),
                    pmx::Table::fmt(m.accepted_load, 3),
                    pmx::Table::fmt(static_cast<std::uint64_t>(m.shed_messages)),
@@ -110,9 +79,7 @@ int main(int argc, char** argv) {
   const pmx::SweepOptions sweep{cfg.get_uint("jobs", 1)};
   cfg.fail_unread("bench_ablation_overload");
 
-  pmx::SystemParams defaults;
-  const double rate =
-      static_cast<double>(defaults.link.bandwidth_dgbps) / 80.0;
+  const double rate = pmx::SystemParams{}.link.bytes_per_ns();
 
   // Campaign 1: offered-load sweep x traffic shape, fixed drop-oldest.
   const std::vector<double> loads{0.5, 1.0, 1.5, 2.0};
@@ -166,11 +133,17 @@ int main(int argc, char** argv) {
             << " ns injection window, " << capacity
             << "-byte source queues, seed " << seed << ")\n";
 
-  const std::vector<ScenarioResult> results = pmx::sweep_map<ScenarioResult>(
+  const std::vector<pmx::RunResult> results = pmx::run_sweep(
       scenarios.size() * kNumKinds,
       [&](std::size_t i) {
-        return run(kKinds[i % kNumKinds], scenarios[i / kNumKinds], capacity,
-                   nodes, workloads[i / kNumKinds]);
+        pmx::RunConfig config =
+            pmx::bench::ledger_config(pmx::kSwitchKinds[i % kNumKinds], nodes);
+        config.params.admission.capacity_bytes = capacity;
+        config.params.admission.policy = scenarios[i / kNumKinds].policy;
+        // Dynamic TDM arms the starvation watchdog: under skewed overload a
+        // cold source must not be crowded out of the schedule forever.
+        config.starvation_slots = 8;
+        return pmx::run_workload(config, workloads[i / kNumKinds]);
       },
       sweep);
 

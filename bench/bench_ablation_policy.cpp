@@ -1,9 +1,17 @@
 // Ablation A8: the programmable policy axis. Every rank-function policy the
 // PolicyEngine supports -- the paper's timeout/counter predictors, the new
 // capacity policies (LRU, LFU-with-decay, weighted hybrid), the
-// deadline-aware lease, and the phase-predictive self-flusher -- on three
+// deadline-aware lease, and the phase-predictive self-flusher -- on four
 // workloads with different reuse structure: a random mesh (high locality),
-// a scatter (no reuse), and a hotspot-skewed mix (one hot destination).
+// a scatter (no reuse), a hotspot-skewed mix (one hot destination), and
+// the paper's two-phase test (an all-to-all, a barrier, then a random
+// mesh: the working set changes mid-run).
+//
+// Ablation A3, the paper's eviction predictors (Section 3.2) at several
+// horizons, is a slice of this axis; its table is the policy list
+//   none,timeout:100,timeout:200,timeout:800,phase:200,counter:64,
+//   counter:512,never-evict
+// passed to --policies (one comma-separated argument).
 //
 // Usage: bench_ablation_policy [--nodes N] [--bytes B]
 //        [--policies a,b:1,c] [--csv] [--jobs J]
@@ -18,6 +26,7 @@
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "harness.hpp"
 #include "traffic/patterns.hpp"
 
 int main(int argc, char** argv) {
@@ -37,15 +46,12 @@ int main(int argc, char** argv) {
     policies.push_back(pmx::PolicySpec::parse(token));
   }
 
-  struct NamedWorkload {
-    std::string name;
-    pmx::Workload workload;
-  };
-  const std::vector<NamedWorkload> workloads{
+  const std::vector<pmx::bench::NamedWorkload> workloads{
       {"random-mesh", pmx::patterns::random_mesh(nodes, bytes, 2, 7)},
       {"scatter", pmx::patterns::scatter(nodes, bytes)},
       {"hotspot-skewed",
        pmx::patterns::hotspot(nodes, bytes, 8, 0, 0.35, 11)},
+      {"two-phase", pmx::patterns::two_phase(nodes, bytes, 7)},
   };
 
   const std::size_t per_policy = workloads.size();
@@ -88,10 +94,7 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   };
 
-  print_metric("efficiency", [](const pmx::RunResult& r) {
-    return r.completed ? pmx::Table::fmt(r.metrics.efficiency, 3)
-                       : std::string("DNF");
-  });
+  print_metric("efficiency", pmx::bench::efficiency_cell);
   print_metric("evictions", [](const pmx::RunResult& r) {
     return pmx::Table::fmt(r.counter("evictions"));
   });

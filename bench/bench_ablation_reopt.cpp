@@ -46,6 +46,7 @@
 #include "control/slot_optimizer.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "harness.hpp"
 #include "traffic/arrival.hpp"
 #include "traffic/patterns.hpp"
 
@@ -143,28 +144,12 @@ std::vector<pmx::BitMatrix> static_plan(
 
 pmx::RunResult run(const Scenario& scenario, std::size_t nodes,
                    const pmx::Workload& workload) {
-  pmx::RunConfig config;
-  config.params.num_nodes = nodes;
+  pmx::RunConfig config = pmx::bench::ledger_config(scenario.kind, nodes);
   config.params.reopt = scenario.reopt;
   config.params.ctrl = scenario.ctrl;
-  // Zero-rate fault layer + auditor: the conservation ledger is checked in
-  // recovery mode at the end of every run (timing-neutral, A6 "clean").
-  config.params.fault.force_enable = true;
-  config.params.audit.enabled = true;
-  config.params.audit.strict = false;
-  config.kind = scenario.kind;
   config.pinned_configs = scenario.pinned;
   config.starvation_slots = 8;  // skewed demand must not starve cold sources
-  config.horizon = pmx::TimeNs{1'000'000'000};
   return pmx::run_workload(config, workload);
-}
-
-std::string delivery_cell(const pmx::RunResult& r, std::size_t messages) {
-  if (!r.completed) {
-    return "DNF";
-  }
-  return pmx::Table::fmt(static_cast<std::uint64_t>(r.metrics.messages)) +
-         "/" + pmx::Table::fmt(static_cast<std::uint64_t>(messages));
 }
 
 void print_tracking_table(const std::string& title,
@@ -176,7 +161,7 @@ void print_tracking_table(const std::string& title,
                     "violations"});
   for (std::size_t s = 0; s < rows.size(); ++s) {
     const pmx::RunResult& r = results[offset + s];
-    table.add_row({rows[s].label, delivery_cell(r, messages),
+    table.add_row({rows[s].label, pmx::bench::delivery_cell(r, messages),
                    pmx::Table::fmt(r.metrics.goodput, 4),
                    pmx::Table::fmt(r.metrics.reopt_solves),
                    pmx::Table::fmt(r.metrics.reopt_applies),
@@ -203,8 +188,7 @@ int main(int argc, char** argv) {
   cfg.fail_unread("bench_ablation_reopt");
 
   pmx::SystemParams defaults;
-  const double rate =
-      static_cast<double>(defaults.link.bandwidth_dgbps) / 80.0;
+  const double rate = defaults.link.bytes_per_ns();
   const pmx::TimeNs reopt_window =
       defaults.slot_length * static_cast<std::int64_t>(period);
 
@@ -296,7 +280,7 @@ int main(int argc, char** argv) {
     offsets.push_back(total);
     total += rows.size();
   }
-  const std::vector<pmx::RunResult> results = pmx::sweep_map<pmx::RunResult>(
+  const std::vector<pmx::RunResult> results = pmx::run_sweep(
       total,
       [&](std::size_t i) {
         std::size_t c = campaigns.size() - 1;
@@ -332,7 +316,7 @@ int main(int argc, char** argv) {
     for (std::size_t s = 0; s < campaigns[c].size(); ++s) {
       const pmx::RunResult& r = results[offsets[c] + s];
       table.add_row({campaigns[c][s].label,
-                     delivery_cell(r, mesh.num_messages()),
+                     pmx::bench::delivery_cell(r, mesh.num_messages()),
                      pmx::Table::fmt(r.metrics.goodput, 4),
                      pmx::Table::fmt(r.metrics.reopt_solves),
                      pmx::Table::fmt(r.metrics.reopt_proposals),

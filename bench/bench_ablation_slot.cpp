@@ -12,6 +12,7 @@
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "harness.hpp"
 #include "traffic/patterns.hpp"
 
 int main(int argc, char** argv) {
@@ -52,12 +53,10 @@ int main(int argc, char** argv) {
 
   pmx::Table table({"slot(ns)", "guard(ns)", "payload(B)", "efficiency"});
   for (std::size_t i = 0; i < timings.size(); ++i) {
-    const pmx::RunResult& result = timing_results[i];
     table.add_row(
         {pmx::Table::fmt(timings[i].first), pmx::Table::fmt(timings[i].second),
          pmx::Table::fmt(timing_config(i).params.slot_payload_bytes()),
-         result.completed ? pmx::Table::fmt(result.metrics.efficiency, 3)
-                          : std::string("DNF")});
+         pmx::bench::efficiency_cell(timing_results[i])});
   }
   table.print(std::cout);
 
@@ -90,8 +89,7 @@ int main(int argc, char** argv) {
     const pmx::RunResult& result = flow_results[i];
     flow.add_row(
         {pmx::Table::fmt(flows[i].first), pmx::Table::fmt(flows[i].second),
-         result.completed ? pmx::Table::fmt(result.metrics.efficiency, 3)
-                          : std::string("DNF"),
+         pmx::bench::efficiency_cell(result),
          pmx::Table::fmt(result.counter("backpressure_stalls"))});
   }
   flow.print(std::cout);

@@ -23,10 +23,12 @@
 #include "common/table.hpp"
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "harness.hpp"
 #include "traffic/patterns.hpp"
 
 namespace {
 
+using pmx::kSwitchKinds;
 using pmx::RunConfig;
 using pmx::SwitchKind;
 using pmx::Workload;
@@ -94,22 +96,20 @@ int main(int argc, char** argv) {
       {"ordered-mesh", make_ordered_mesh},
       {"two-phase", make_two_phase},
   };
-  const std::vector<SwitchKind> kinds{
-      SwitchKind::kWormhole, SwitchKind::kCircuit, SwitchKind::kDynamicTdm,
-      SwitchKind::kPreloadTdm};
   const std::vector<std::uint64_t> sizes{8, 16, 32, 64, 128, 256, 512, 1024,
                                          2048};
 
   // Flatten the (pattern, size, kind) cube into independent sweep points;
   // every point rebuilds its workload from the index, so it is a pure
   // function of i and the tables below come out identical for any --jobs.
-  const std::size_t per_pattern = sizes.size() * kinds.size();
+  const std::size_t per_pattern = sizes.size() * kSwitchKinds.size();
   const std::vector<pmx::RunResult> results = pmx::run_sweep(
       patterns.size() * per_pattern,
       [&](std::size_t i) {
         const Pattern& pattern = patterns[i / per_pattern];
-        const std::uint64_t bytes = sizes[(i % per_pattern) / kinds.size()];
-        const SwitchKind kind = kinds[i % kinds.size()];
+        const std::uint64_t bytes =
+            sizes[(i % per_pattern) / kSwitchKinds.size()];
+        const SwitchKind kind = kSwitchKinds[i % kSwitchKinds.size()];
         return pmx::run_workload(config_for(kind, nodes),
                                  pattern.make(nodes, bytes));
       },
@@ -119,18 +119,15 @@ int main(int argc, char** argv) {
             << " nodes, K=4)\n";
   for (std::size_t p = 0; p < patterns.size(); ++p) {
     std::vector<std::string> headers{"bytes"};
-    for (const auto kind : kinds) {
+    for (const auto kind : kSwitchKinds) {
       headers.push_back(pmx::to_string(kind));
     }
     pmx::Table table(std::move(headers));
     for (std::size_t s = 0; s < sizes.size(); ++s) {
       std::vector<std::string> row{pmx::Table::fmt(sizes[s])};
-      for (std::size_t k = 0; k < kinds.size(); ++k) {
-        const pmx::RunResult& result =
-            results[p * per_pattern + s * kinds.size() + k];
-        row.push_back(result.completed
-                          ? pmx::Table::fmt(result.metrics.efficiency, 3)
-                          : std::string("DNF"));
+      for (std::size_t k = 0; k < kSwitchKinds.size(); ++k) {
+        row.push_back(pmx::bench::efficiency_cell(
+            results[p * per_pattern + s * kSwitchKinds.size() + k]));
       }
       table.add_row(std::move(row));
     }

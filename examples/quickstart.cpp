@@ -32,9 +32,7 @@ int main(int argc, char** argv) {
   pmx::Table table({"paradigm", "efficiency", "makespan(us)", "avg lat(ns)",
                     "p99 lat(ns)"});
 
-  for (const pmx::SwitchKind kind :
-       {pmx::SwitchKind::kWormhole, pmx::SwitchKind::kCircuit,
-        pmx::SwitchKind::kDynamicTdm, pmx::SwitchKind::kPreloadTdm}) {
+  for (const pmx::SwitchKind kind : pmx::kSwitchKinds) {
     pmx::RunConfig config;
     config.params.num_nodes = nodes;
     config.kind = kind;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -20,6 +21,11 @@ enum class SwitchKind : std::uint8_t {
   kDynamicTdm,   ///< reactive multiplexed switching (Section 4)
   kPreloadTdm,   ///< compiled-communication preloading (Section 3.1)
 };
+
+/// Every paradigm, in the order the paper's tables list them.
+inline constexpr std::array<SwitchKind, 4> kSwitchKinds{
+    SwitchKind::kWormhole, SwitchKind::kCircuit, SwitchKind::kDynamicTdm,
+    SwitchKind::kPreloadTdm};
 
 [[nodiscard]] std::string to_string(SwitchKind kind);
 

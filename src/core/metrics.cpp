@@ -61,8 +61,7 @@ void fill_overload_metrics(const Network& network, RunMetrics& m) {
   // Offered/accepted load against aggregate per-port line rate over the
   // submission window. A single-instant burst has no window; the ratios
   // stay zero rather than divide by it.
-  const double rate =
-      static_cast<double>(network.params().link.bandwidth_dgbps) / 80.0;
+  const double rate = network.params().link.bytes_per_ns();
   const TimeNs window = network.last_submit() - network.first_submit();
   if (window > TimeNs::zero() && network.submitted_count() > 0) {
     const double capacity = static_cast<double>(window.ns()) * rate *
@@ -156,8 +155,7 @@ RunMetrics compute_metrics(const Workload& workload, const Network& network) {
     return m;
   }
 
-  const double rate =
-      static_cast<double>(network.params().link.bandwidth_dgbps) / 80.0;
+  const double rate = network.params().link.bytes_per_ns();
   const TimeNs ideal = workload.ideal_makespan(rate);
   m.efficiency =
       static_cast<double>(ideal.ns()) / static_cast<double>(m.makespan.ns());

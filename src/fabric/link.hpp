@@ -20,6 +20,14 @@ class LinkModel {
     TimeNs p2s{30};                     ///< parallel-to-serial conversion
     TimeNs s2p{30};                     ///< serial-to-parallel conversion
     TimeNs wire{20};                    ///< propagation down one 10-ft cable
+
+    /// Line rate in bytes/ns (0.8 at the default 6.4 Gb/s): the unit of
+    /// efficiency's ideal makespan and of open-loop offered load. On the
+    /// params, so callers holding `SystemParams::link` need not construct
+    /// (and validate) a LinkModel.
+    [[nodiscard]] double bytes_per_ns() const {
+      return static_cast<double>(bandwidth_dgbps) / 80.0;
+    }
   };
 
   LinkModel() : LinkModel(Params{}) {}

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,10 @@ struct Scenario {
   std::int64_t phase_epoch_ns = 0;
   std::string workload;  ///< scatter | mesh | two-phase | chaos-mesh
 };
+
+/// gtest prints a parameter into the test's listed name; the id keeps that
+/// name stable, where the default byte dump would start with a heap address.
+inline void PrintTo(const Scenario& s, std::ostream* os) { *os << s.id; }
 
 /// Clean-path scenarios use 24 nodes / 192-byte messages; the chaos-mesh
 /// scenarios shrink to 16 nodes and layer lossy control + random link

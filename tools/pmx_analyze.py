@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""pmx-analyze: whole-program layering + determinism analyzer.
+"""pmx-analyze: the static analyzer for the pmx codebase.
 
-pmx-lint (tools/pmx_lint.py) checks line-local hygiene; this tool is the
-whole-program companion and the single CLI entry point for both: one run
-covers the lint rules plus four cross-file passes, one ``// pmx-lint:
-allow(<rule>)`` escape hatch, and one fingerprint-baseline format
-(tools/pmx_lexer.py). The passes:
+The reproduction's correctness claims rest on bit-exact determinism and a
+layered architecture: gate counts, the SL fast/ref differential oracle and
+the byte-identical ``--jobs N`` sweep all assume no hidden nondeterminism.
+One run checks the whole contract: four cross-file passes plus the
+line-local hygiene rules, behind one ``// pmx-lint: allow(<rule>)`` escape
+hatch and one fingerprint-baseline format (tools/pmx_lexer.py). The passes:
 
 1. Include-graph / layer contract (``layer-violation``, ``include-cycle``).
    src/ modules form a declared DAG:
@@ -29,8 +30,8 @@ allow(<rule>)`` escape hatch, and one fingerprint-baseline format
    pointer types, and comparators that sort raw pointers by address all leak
    allocation order (ASLR makes it nondeterministic across runs) into
    iteration or event order. Key by stable ids (NodeId, MessageId, (src,dst))
-   instead -- this is the cross-file generalization of the unordered-map
-   bucket-order bug pmx-lint caught in predictor eviction.
+   instead -- this is the cross-file generalization of the unordered-iter
+   rule below.
 
 3. Wall-clock / environment taint (``wallclock``). ``system_clock``,
    ``time()``, ``clock()``, ``clock_gettime``, ``gettimeofday``,
@@ -50,9 +51,56 @@ allow(<rule>)`` escape hatch, and one fingerprint-baseline format
    kernels: ``sl_array_pass_fast`` (the word-parallel scheduler pass),
    the EventQueue heap ops, and the VOQ drain path.
 
-Baselines: entries in the pmx-analyze baseline must carry a nonempty
-``"justification"``; the contract may only be suspended with a written
-reason. ``--write-baseline`` emits empty justification fields to fill in.
+5. Line-local hygiene (the lint rules, LINT_RULES):
+
+  raw-rand       direct std::rand / srand / time() seeding / std::random_device
+                 / std::mt19937 use anywhere outside src/common/rng.{hpp,cpp}.
+                 All randomness must flow through pmx::Rng (xoshiro256**),
+                 whose output is platform-independent.
+  unordered-iter iteration over a std::unordered_map / std::unordered_set.
+                 Bucket order is implementation-defined, so any loop over an
+                 unordered container can leak nondeterministic ordering into
+                 output or event order. Commutative folds (count, max, set
+                 union) are safe: annotate them with an allow comment.
+  float-accum    += / -= accumulation into float/double outside the
+                 whitelisted analytic-model files. Slot and latency
+                 *accounting* must stay integral (TimeNs / byte counts);
+                 floating point is reserved for derived statistics.
+  raw-new        raw `new` / `delete` expressions. Ownership goes through
+                 containers and smart pointers; raw allocation invites leaks
+                 the ASan tier then has to chase.
+  raw-heap       std::priority_queue or the <algorithm> heap primitives
+                 (push_heap/pop_heap/make_heap/sort_heap/is_heap) anywhere
+                 outside src/predictor/policy_engine.* and
+                 src/sim/event_queue.*. Priority ordering is a determinism
+                 hot-spot (heaps are not stable); rank-ordered scheduling
+                 must go through the PolicyEngine and event ordering through
+                 the EventQueue, both of which carry total-order
+                 tie-breakers.
+  unbounded-queue
+                 growth calls (push_back / push_front / emplace_back /
+                 emplace_front / push / emplace) on std::deque / std::queue /
+                 std::list typed names inside src/nic and src/switching with
+                 no capacity check in sight (same line or the three preceding
+                 code lines). Overload robustness rests on every NIC and
+                 switch queue being bounded: growth must sit behind an
+                 explicit capacity verdict (VoqSet::would_overflow, the
+                 admission controller) or carry an allow comment stating the
+                 structural bound.
+  include-guard  headers must open with `#pragma once`.
+
+Escape hatch: a finding on line N is suppressed by appending
+``// pmx-lint: allow(<rule>)`` to line N (and only line N). Multiple rules:
+``allow(rule-a, rule-b)``. For the file-level include-guard rule the allow
+comment must sit on line 1.
+
+Baselines: ``--baseline FILE`` loads a committed JSON baseline and only
+*new* findings (not fingerprint-matched by the baseline) fail the run.
+Fingerprints hash the rule plus the whitespace-normalized source line, so
+unrelated edits moving a known finding up or down a file do not break CI.
+Every entry must carry a nonempty ``"justification"``: the contract may only
+be suspended with a written reason. ``--write-baseline`` emits empty
+justification fields to fill in.
 
 Exit status: 0 when no (new) findings, 1 when findings remain, 2 on usage
 errors.
@@ -65,7 +113,6 @@ import re
 import sys
 from pathlib import Path
 
-import pmx_lint
 from pmx_lexer import (
     DEFAULT_ROOTS,
     EXCLUDED_PARTS,
@@ -74,6 +121,7 @@ from pmx_lexer import (
     SOURCE_EXTENSIONS,
     discover,
     load_baseline,
+    strip_comments_and_strings,
     subtract_baseline,
     write_baseline,
 )
@@ -106,6 +154,40 @@ LAYER_RANK: dict[str, int] = {
     mod: rank for rank, layer in enumerate(LAYERS) for mod in layer
 }
 
+# Files allowed to touch raw randomness primitives: the Rng wrapper itself.
+RAW_RAND_EXEMPT = ("src/common/rng.hpp", "src/common/rng.cpp")
+
+# The two sanctioned priority-queue cores: the policy engine (rank-ordered
+# eviction with a (rank, src, dst) total order) and the simulator's event
+# queue. Everything else must route priority ordering through them.
+RAW_HEAP_EXEMPT = (
+    "src/predictor/policy_engine.hpp",
+    "src/predictor/policy_engine.cpp",
+    "src/sim/event_queue.hpp",
+    "src/sim/event_queue.cpp",
+)
+
+# Analytic-model / statistics files where floating-point accumulation is the
+# point (latency closed forms, Welford stats, derived run metrics). Slot and
+# event accounting elsewhere must stay integral.
+FLOAT_ACCUM_WHITELIST = (
+    "src/sched/latency_model.hpp",
+    "src/sched/latency_model.cpp",
+    "src/common/stats.hpp",
+    "src/common/stats.cpp",
+    "src/core/metrics.hpp",
+    "src/core/metrics.cpp",
+    # Stochastic arrival-process model: continuous-time exponential draws,
+    # quantized to TimeNs only at the program boundary.
+    "src/traffic/arrival.hpp",
+    "src/traffic/arrival.cpp",
+)
+
+# The queue-discipline layers where every queue must be bounded: the NIC
+# (VOQs, admission) and the switch paradigms. Queue growth elsewhere (test
+# scaffolding, tooling) is out of scope for unbounded-queue.
+UNBOUNDED_QUEUE_ROOTS = ("src/nic/", "src/switching/")
+
 RULES = {
     "layer-violation": "include edge breaks the declared layer DAG "
     "(see LAYERS in tools/pmx_analyze.py and DESIGN.md section 13)",
@@ -118,6 +200,19 @@ RULES = {
     "sim/clock.hpp and configuration from Config/CLI",
     "hot-path-alloc": "allocating construct inside a // pmx-hot kernel; "
     "hoist the allocation out of the hot path or reserve up front",
+    "raw-rand": "raw randomness primitive; use pmx::Rng from src/common/rng.hpp",
+    "unordered-iter": "iteration over unordered container leaks bucket order; "
+    "iterate a sorted/stable structure or allow() a commutative fold",
+    "float-accum": "floating-point accumulation outside analytic-model "
+    "whitelist; keep slot/latency accounting integral",
+    "raw-new": "raw new/delete; use containers or smart pointers",
+    "raw-heap": "raw priority queue / heap primitive outside the sanctioned "
+    "cores; route rank ordering through PolicyEngine and event ordering "
+    "through EventQueue",
+    "unbounded-queue": "queue growth without a capacity check; gate it "
+    "behind an explicit capacity verdict (VoqSet::would_overflow, the "
+    "admission controller) or allow() a structurally bounded site",
+    "include-guard": "header does not start with #pragma once",
 }
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
@@ -162,6 +257,53 @@ HOT_GROW_RE = re.compile(
     r"(?:push_back|push_front|emplace_back|emplace_front|emplace"
     r"|insert|resize)\s*\(")
 RESERVE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*(?:reserve|rehash)\s*\(")
+
+RAW_RAND_RE = re.compile(
+    r"(?<![\w:])(?:std::)?"
+    r"(?:rand|srand|random_device|mt19937(?:_64)?|minstd_rand0?|default_random_engine)"
+    r"(?![\w])"
+    r"|(?<![\w:])(?:std::)?time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
+)
+
+UNORDERED_DECL_RE = re.compile(
+    r"unordered_(?:map|set|multimap|multiset)\s*<[^;{}]*?>[\s&*]*"
+    r"(?:const\s+)?([A-Za-z_]\w*)\s*(?:[;={,)]|$)"
+)
+RANGE_FOR_RE = re.compile(r"\bfor\s*\(([^;]*?):([^)]*)\)")
+ITER_LOOP_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*(?:begin|cbegin)\s*\(\s*\)")
+
+FLOAT_DECL_RE = re.compile(
+    r"\b(?:double|float)\b[\s&*]*(?:const\s+)?([A-Za-z_]\w*)\s*(?:[;={,)]|$)"
+)
+COMPOUND_ASSIGN_RE = re.compile(r"(?:^|[^\w.])([A-Za-z_]\w*)\s*[+-]=")
+
+RAW_HEAP_RE = re.compile(
+    r"\b(?:std::)?priority_queue\s*<"
+    r"|\b(?:std::)?(?:push_heap|pop_heap|make_heap|sort_heap"
+    r"|is_heap(?:_until)?)\s*\("
+)
+
+QUEUE_DECL_RE = re.compile(
+    r"\b(?:std::)?(?:deque|queue|list)\s*<[^;{}]*?>[\s&*]*"
+    r"(?:const\s+)?([A-Za-z_]\w*)\s*(?:[;={,)]|$)"
+)
+QUEUE_GROW_RE = re.compile(
+    r"\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?\.\s*"
+    r"(?:push_back|push_front|emplace_back|emplace_front|push|emplace)\s*\("
+)
+# Capacity-verdict vocabulary: a growth call is considered guarded when one
+# of these appears on the growth line or the three preceding code lines
+# (comments are stripped, so prose claiming boundedness does not count).
+QUEUE_GUARD_RE = re.compile(
+    r"\b(?:would_overflow|capacity\w*|max_bytes\w*|max_msgs\w*"
+    r"|admit\w*|try_submit)\b"
+)
+QUEUE_GUARD_WINDOW = 3
+
+NEW_RE = re.compile(r"(?<!\boperator )\bnew\b\s*(?:\(|[A-Za-z_:<])")
+DELETE_RE = re.compile(r"(?<!\boperator )(?<!=\s)(?<!= )\bdelete\b(?!\s*;)")
+
+PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 
 
 def validate_contract() -> None:
@@ -495,7 +637,7 @@ def hot_path_pass(lexed: LexedFile, extra_scope: list[str],
             line = lexed.code[lineno - 1]
             if lineno == first:
                 line = line[first_col:]
-            if pmx_lint.NEW_RE.search(line) or HOT_ALLOC_RE.search(line):
+            if NEW_RE.search(line) or HOT_ALLOC_RE.search(line):
                 lexed.emit(findings, lineno, "hot-path-alloc",
                            RULES["hot-path-alloc"])
                 continue
@@ -514,32 +656,126 @@ def hot_path_pass(lexed: LexedFile, extra_scope: list[str],
 
 
 # --------------------------------------------------------------------------
+# Pass 5: line-local hygiene rules.
+# --------------------------------------------------------------------------
+
+def collect_names(pattern: re.Pattern, lines) -> set[str]:
+    names: set[str] = set()
+    for line in lines:
+        for m in pattern.finditer(line):
+            names.add(m.group(1))
+    return names
+
+
+def paired_header_lines(path: Path) -> list[str]:
+    """For foo.cpp, also scan foo.hpp so member declarations are visible."""
+    if path.suffix != ".cpp":
+        return []
+    header = path.with_suffix(".hpp")
+    if not header.is_file():
+        return []
+    code, _ = strip_comments_and_strings(header.read_text(encoding="utf-8"))
+    return code
+
+
+def range_expr_name(expr: str) -> str:
+    """Final identifier of a range expression: `obj.member_` -> `member_`."""
+    m = re.search(r"([A-Za-z_]\w*)\s*$", expr.strip())
+    return m.group(1) if m else ""
+
+
+def unbounded_queue_in_scope(rel: str) -> bool:
+    """The rule polices the queue-discipline layers. Explicit file arguments
+    outside the standard roots (the fixture corpus under test) are always in
+    scope so the rule itself stays testable."""
+    posix = rel.replace("\\", "/")
+    if posix.startswith(UNBOUNDED_QUEUE_ROOTS):
+        return True
+    return posix.split("/", 1)[0] not in DEFAULT_ROOTS
+
+
+def lint_pass(lexed: LexedFile, header: list[str], rules: set[str],
+              findings: list[Finding]) -> None:
+    """The LINT_RULES in `rules` over one file; `header` holds the code lines
+    of its paired header."""
+    rel = lexed.rel
+    code_lines = lexed.code
+
+    def emit(lineno: int, rule: str) -> None:
+        lexed.emit(findings, lineno, rule, RULES[rule])
+
+    if "raw-rand" in rules and rel not in RAW_RAND_EXEMPT:
+        for idx, line in enumerate(code_lines, 1):
+            if RAW_RAND_RE.search(line):
+                emit(idx, "raw-rand")
+
+    if "unordered-iter" in rules:
+        unordered_names = collect_names(UNORDERED_DECL_RE, code_lines + header)
+        for idx, line in enumerate(code_lines, 1):
+            for m in RANGE_FOR_RE.finditer(line):
+                if range_expr_name(m.group(2)) in unordered_names:
+                    emit(idx, "unordered-iter")
+            for m in ITER_LOOP_RE.finditer(line):
+                if m.group(1) in unordered_names:
+                    emit(idx, "unordered-iter")
+
+    if "float-accum" in rules and rel not in FLOAT_ACCUM_WHITELIST:
+        float_names = collect_names(FLOAT_DECL_RE, code_lines + header)
+        for idx, line in enumerate(code_lines, 1):
+            for m in COMPOUND_ASSIGN_RE.finditer(line):
+                if m.group(1) in float_names:
+                    emit(idx, "float-accum")
+
+    if "unbounded-queue" in rules and unbounded_queue_in_scope(rel):
+        queue_names = collect_names(QUEUE_DECL_RE, code_lines + header)
+        for idx, line in enumerate(code_lines, 1):
+            for m in QUEUE_GROW_RE.finditer(line):
+                if m.group(1) not in queue_names:
+                    continue
+                lookback = code_lines[max(0, idx - 1 - QUEUE_GUARD_WINDOW):idx]
+                if any(QUEUE_GUARD_RE.search(l) for l in lookback):
+                    continue
+                emit(idx, "unbounded-queue")
+
+    if "raw-new" in rules:
+        for idx, line in enumerate(code_lines, 1):
+            if NEW_RE.search(line) or DELETE_RE.search(line):
+                emit(idx, "raw-new")
+
+    if "raw-heap" in rules and rel not in RAW_HEAP_EXEMPT:
+        for idx, line in enumerate(code_lines, 1):
+            if RAW_HEAP_RE.search(line):
+                emit(idx, "raw-heap")
+
+    if "include-guard" in rules and lexed.path.suffix == ".hpp":
+        if not any(PRAGMA_ONCE_RE.match(line) for line in code_lines[:5]):
+            emit(1, "include-guard")
+
+
+# --------------------------------------------------------------------------
 # Driver.
 # --------------------------------------------------------------------------
 
-ANALYZE_FILE_RULES = ("ptr-order", "wallclock", "hot-path-alloc")
 GRAPH_RULES = ("layer-violation", "include-cycle")
+ANALYZE_FILE_RULES = ("ptr-order", "wallclock", "hot-path-alloc")
+LINT_RULES = ("raw-rand", "unordered-iter", "float-accum", "raw-new",
+              "raw-heap", "unbounded-queue", "include-guard")
 
 
 def analyze_file(path: Path, rel: str, rules: set[str]) -> list[Finding]:
-    """Run the per-file analyze passes (not the include-graph passes) on one
-    file. Mirrors pmx_lint.lint_file for fixture-driven testing."""
+    """Run the per-file rules in `rules` (everything but the include-graph
+    passes) on one file."""
     lexed = LexedFile(path, rel)
+    header = paired_header_lines(path)
     findings: list[Finding] = []
     if "ptr-order" in rules:
         ptr_order_pass(lexed, findings)
     if "wallclock" in rules:
         wallclock_pass(lexed, findings)
     if "hot-path-alloc" in rules:
-        hot_path_pass(lexed, pmx_lint.paired_header_lines(path), findings)
+        hot_path_pass(lexed, header, findings)
+    lint_pass(lexed, header, rules, findings)
     return findings
-
-
-def all_rules(include_lint: bool = True) -> dict[str, str]:
-    rules = dict(RULES)
-    if include_lint:
-        rules.update(pmx_lint.RULES)
-    return rules
 
 
 def main(argv: list[str]) -> int:
@@ -556,8 +792,6 @@ def main(argv: list[str]) -> int:
                              "relative to --root (default: src)")
     parser.add_argument("--rules",
                         help="comma-separated rule subset to run")
-    parser.add_argument("--no-lint", action="store_true",
-                        help="skip the pmx-lint line-local rules")
     parser.add_argument("--baseline", metavar="FILE",
                         help="JSON baseline; entries need justifications; "
                              "only new findings fail")
@@ -572,17 +806,16 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     validate_contract()
-    registry = all_rules(include_lint=not args.no_lint)
 
     if args.list_rules:
-        for rule, doc in registry.items():
+        for rule, doc in RULES.items():
             print(f"{rule:15s} {doc}")
         return 0
 
-    active = set(registry)
+    active = set(RULES)
     if args.rules:
         active = {r.strip() for r in args.rules.split(",")}
-        unknown = active - set(all_rules())
+        unknown = active - set(RULES)
         if unknown:
             print("pmx-analyze: unknown rule(s): "
                   + ", ".join(sorted(unknown)), file=sys.stderr)
@@ -612,11 +845,9 @@ def main(argv: list[str]) -> int:
         print(f"pmx-analyze: src root {src_root} not found; "
               "skipping include-graph passes", file=sys.stderr)
 
-    # Per-file passes (analyze taint + optional lint rules).
+    # Per-file passes (taint, hot-path and lint rules).
     files = discover(root, args.paths)
-    file_rules = {r for r in active if r in ANALYZE_FILE_RULES}
-    lint_rules = ({r for r in active if r in pmx_lint.RULES}
-                  if not args.no_lint else set())
+    file_rules = active - set(GRAPH_RULES)
     for f in files:
         try:
             rel = str(f.resolve().relative_to(root))
@@ -624,22 +855,18 @@ def main(argv: list[str]) -> int:
             rel = str(f)
         if file_rules:
             findings.extend(analyze_file(f, rel, file_rules))
-        if lint_rules:
-            findings.extend(pmx_lint.lint_file(f, rel, lint_rules))
 
     findings.sort(key=lambda fi: (fi.path, fi.line, fi.rule))
 
     if args.write_baseline:
-        write_baseline(Path(args.write_baseline), findings,
-                       with_justification=True)
+        write_baseline(Path(args.write_baseline), findings)
         print(f"pmx-analyze: wrote baseline with {len(findings)} finding(s) "
               f"to {args.write_baseline}; fill in the justification fields")
         return 0
 
     if args.baseline:
         try:
-            baseline = load_baseline(Path(args.baseline),
-                                     require_justification=True)
+            baseline = load_baseline(Path(args.baseline))
         except ValueError as err:
             print(f"pmx-analyze: {err}", file=sys.stderr)
             return 2

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Shared lexing, finding, and baseline machinery for pmx-lint and
-pmx-analyze.
+"""Lexing, finding, and baseline machinery for pmx-analyze.
 
-Both analyzers operate on the same view of a C++ source file: per-line code
+Every pass operates on the same view of a C++ source file: per-line code
 with comment and string bodies blanked out (so prose never trips a rule and
 string contents never hide one), plus per-line comment text from which the
 single suppression mechanism -- ``// pmx-lint: allow(<rule>)`` on the
@@ -10,14 +9,13 @@ offending line -- is parsed. Findings carry a fingerprint (rule + normalized
 source line) so committed baselines survive unrelated edits that move a
 known finding up or down a file.
 
-Baseline JSON schema (shared by both tools):
+Baseline JSON schema:
 
     {"findings": [{"file": ..., "rule": ..., "fingerprint": ...,
                    "justification": "why this is acknowledged"}, ...]}
 
-``justification`` is optional for pmx-lint compatibility; pmx-analyze
-refuses baselines whose entries do not carry one (the architecture contract
-may only be suspended with a written reason).
+Every entry needs a nonempty ``justification``: the contract may only be
+suspended with a written reason.
 """
 
 from __future__ import annotations
@@ -207,15 +205,14 @@ def discover(root: Path, paths: list[str],
     return files
 
 
-def load_baseline(path: Path, require_justification: bool = False):
-    """Return {key: count} of acknowledged findings. With
-    require_justification, raise ValueError on entries lacking a written
-    reason (the analyze contract: debt must be justified, not just listed).
+def load_baseline(path: Path):
+    """Return {key: count} of acknowledged findings. Raise ValueError on an
+    entry lacking a written reason: debt must be justified, not just listed.
     """
     data = json.loads(path.read_text(encoding="utf-8"))
     counts: dict[str, int] = {}
     for entry in data.get("findings", []):
-        if require_justification and not entry.get("justification", "").strip():
+        if not entry.get("justification", "").strip():
             raise ValueError(
                 f"baseline entry for {entry.get('file')} [{entry.get('rule')}]"
                 " has no justification; the architecture contract may only be"
@@ -225,15 +222,12 @@ def load_baseline(path: Path, require_justification: bool = False):
     return counts
 
 
-def write_baseline(path: Path, findings: list[Finding],
-                   with_justification: bool = False) -> None:
+def write_baseline(path: Path, findings: list[Finding]) -> None:
+    """Record `findings` with empty justification fields to fill in."""
     payload = {
         "findings": [
-            dict(
-                {"file": fi.path, "rule": fi.rule,
-                 "fingerprint": fi.fingerprint()},
-                **({"justification": ""} if with_justification else {}),
-            )
+            {"file": fi.path, "rule": fi.rule,
+             "fingerprint": fi.fingerprint(), "justification": ""}
             for fi in findings
         ]
     }
