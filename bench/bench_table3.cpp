@@ -5,9 +5,10 @@
 // latency model fitted to the paper's own measurements (c0 + c1*log2 N +
 // c2*N: OR-reduction trees + availability wavefront), (b) the derived ASIC
 // estimate (the paper's "about 5x better", anchored at 80 ns for 128x128),
-// and (c) a software micro-timing of the gate-accurate SL array pass as a
-// sanity check that the combinational work indeed scales ~N^2 with an O(N)
-// critical path.
+// and (c) software micro-timings of the SL array pass as a sanity check
+// that the combinational work indeed scales ~N^2 with an O(N) critical
+// path: the word-parallel pass the simulator runs, and the gate-accurate
+// cell-by-cell reference pass on the same inputs.
 
 #include <chrono>
 #include <iostream>
@@ -24,9 +25,10 @@
 
 namespace {
 
-/// Median-of-3 wall time for one full SL pass (preschedule + wavefront) on
-/// a random half-loaded request state.
-double sw_pass_us(std::size_t n) {
+/// Best-of-3 wall time for one full SL pass (preschedule + wavefront) on a
+/// random half-loaded request state; `ref` times the cell-by-cell reference
+/// pass instead of the word-parallel one.
+double sw_pass_us(std::size_t n, bool ref) {
   pmx::Rng rng(n);
   pmx::BitMatrix config(n);
   pmx::BitMatrix requests(n);
@@ -48,7 +50,9 @@ double sw_pass_us(std::size_t n) {
     std::size_t sink = 0;
     for (int i = 0; i < kIters; ++i) {
       const pmx::BitMatrix l = pmx::preschedule(requests, config, config);
-      const auto pass = pmx::sl_array_pass(l, config, static_cast<std::size_t>(i) % n, static_cast<std::size_t>(i) % n);
+      const std::size_t start = static_cast<std::size_t>(i) % n;
+      const auto pass = ref ? pmx::sl_array_pass_ref(l, config, start, start)
+                            : pmx::sl_array_pass(l, config, start, start);
       sink += pass.establishes;
     }
     const auto t1 = std::chrono::steady_clock::now();
@@ -84,10 +88,14 @@ int main(int argc, char** argv) {
   ns.push_back(256);  // extrapolation beyond the paper's table
   ns.push_back(512);
   const std::vector<double> sw_us = pmx::sweep_map<double>(
-      ns.size(), [&](std::size_t i) { return sw_pass_us(ns[i]); }, sweep);
+      ns.size(), [&](std::size_t i) { return sw_pass_us(ns[i], false); },
+      sweep);
+  const std::vector<double> ref_us = pmx::sweep_map<double>(
+      ns.size(), [&](std::size_t i) { return sw_pass_us(ns[i], true); },
+      sweep);
 
   pmx::Table table({"N", "paper FPGA (ns)", "model FPGA (ns)",
-                    "model ASIC (ns)", "sw pass (us)"});
+                    "model ASIC (ns)", "sw pass (us)", "ref pass (us)"});
   const auto paper = pmx::SchedulerLatencyModel::paper_table3();
   for (std::size_t i = 0; i < ns.size(); ++i) {
     const std::size_t n = ns[i];
@@ -96,7 +104,8 @@ int main(int argc, char** argv) {
                                     : std::string("-"),
                    pmx::Table::fmt(model.fpga_ns(n), 1),
                    pmx::Table::fmt(model.asic_ns(n), 1),
-                   pmx::Table::fmt(sw_us[i], 2)});
+                   pmx::Table::fmt(sw_us[i], 2),
+                   pmx::Table::fmt(ref_us[i], 2)});
   }
   table.print(std::cout);
   std::cout << "\nsimulation uses asic(128) = "

@@ -39,31 +39,6 @@ Config Config::from_args(const std::vector<std::string>& args) {
   return config;
 }
 
-Config Config::from_text(const std::string& text) {
-  Config config;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) {
-      line.erase(hash);
-    }
-    line = trim(line);
-    if (line.empty()) {
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::runtime_error("config line " + std::to_string(lineno) +
-                               ": expected key=value");
-    }
-    config.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
-  }
-  return config;
-}
-
 Config Config::from_cli(int argc, char** argv) {
   Config config;
   for (int i = 1; i < argc; ++i) {

@@ -9,9 +9,8 @@
 namespace pmx {
 
 /// Key=value configuration bag used by the bench harnesses and examples:
-/// parses `key=value` tokens (command-line style) and simple config-file
-/// text (one pair per line, '#' comments). Typed getters validate on
-/// access; unknown_keys() supports strict CLI parsing.
+/// parses `key=value` tokens (command-line style). Typed getters validate
+/// on access; unread_keys() supports strict CLI parsing.
 class Config {
  public:
   Config() = default;
@@ -19,9 +18,6 @@ class Config {
   /// Parse argv-style tokens of the form key=value. Tokens without '=' are
   /// rejected with std::runtime_error.
   static Config from_args(const std::vector<std::string>& args);
-  /// Parse config-file text: one key=value per line, blank lines and
-  /// '#'-comments ignored.
-  static Config from_text(const std::string& text);
   /// Parse a main()'s argument vector. Accepts `key=value`, `--key=value`,
   /// `--key value` and bare `--flag` (stored as "true"). Anything else is
   /// rejected with std::runtime_error.

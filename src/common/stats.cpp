@@ -1,90 +1,6 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/assert.hpp"
-
 namespace pmx {
-
-void RunningStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) {
-    return;
-  }
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double bucket_width, std::size_t num_buckets)
-    : width_(bucket_width), buckets_(num_buckets, 0) {
-  PMX_CHECK(bucket_width > 0.0, "Histogram bucket width must be positive");
-  PMX_CHECK(num_buckets > 0, "Histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < 0.0) {
-    x = 0.0;
-  }
-  const auto idx = static_cast<std::size_t>(x / width_);
-  if (idx < buckets_.size()) {
-    ++buckets_[idx];
-  } else {
-    ++overflow_;
-  }
-}
-
-double Histogram::quantile(double q) const {
-  PMX_CHECK(q > 0.0 && q <= 1.0, "quantile requires q in (0, 1]");
-  if (total_ == 0) {
-    return 0.0;
-  }
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_)));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    cum += buckets_[i];
-    if (cum >= target) {
-      // Linear interpolation inside the bucket.
-      const std::uint64_t before = cum - buckets_[i];
-      const double frac =
-          buckets_[i] > 0
-              ? static_cast<double>(target - before) /
-                    static_cast<double>(buckets_[i])
-              : 0.0;
-      return (static_cast<double>(i) + frac) * width_;
-    }
-  }
-  return static_cast<double>(buckets_.size()) * width_;  // in overflow
-}
 
 std::uint64_t CounterSet::value(const std::string& name) const {
   const auto it = counters_.find(name);

@@ -36,8 +36,8 @@ struct RunConfig {
   SendMode send_mode = SendMode::kEager;
 
   // Dynamic-TDM knobs. The eviction policy (rank function + parameters) is
-  // a PolicySpec so any bench or example can sweep it straight from its
-  // Config/CLI (PolicySpec::from_config / PolicySpec::parse).
+  // a PolicySpec so a bench can sweep it from a `name[:value]` token
+  // (PolicySpec::parse).
   PolicySpec policy{};  ///< default: timeout, 200 ns (2 slots)
   bool multi_slot_connections = false;
   std::size_t sl_units = 1;  ///< parallel scheduling-logic copies (ext. 1)

@@ -1,8 +1,5 @@
 #include "predictor/rank_fn.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/assert.hpp"
 
 namespace pmx {
@@ -185,70 +182,6 @@ class HybridRank final : public RankFn {
   TimeNs half_life_;
 };
 
-/// Per-source-port dispatcher over the horizon-encoded ranks: a flow whose
-/// source port has an override is ranked by that port's knob; every other
-/// flow by the global rank. All instances of one horizon policy share the
-/// same horizon formula (virtual time), so the horizon delegates to the
-/// global rank. Built only when PolicySpec::port_overrides is non-empty --
-/// a global-only spec never goes through this wrapper.
-class PerPortRank final : public RankFn {
- public:
-  PerPortRank(std::unique_ptr<RankFn> global,
-              std::vector<std::pair<NodeId, std::unique_ptr<RankFn>>> ports)
-      : global_(std::move(global)), ports_(std::move(ports)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return global_->name() + "+per-port";
-  }
-  [[nodiscard]] bool holds() const override { return global_->holds(); }
-  [[nodiscard]] Rank rank(const FlowState& s,
-                          const EngineView& view) const override {
-    return select(s.conn.src).rank(s, view);
-  }
-  [[nodiscard]] Rank horizon(const EngineView& view) const override {
-    return global_->horizon(view);
-  }
-
- private:
-  [[nodiscard]] const RankFn& select(NodeId src) const {
-    const auto it = std::lower_bound(
-        ports_.begin(), ports_.end(), src,
-        [](const auto& entry, NodeId port) { return entry.first < port; });
-    if (it != ports_.end() && it->first == src) {
-      return *it->second;
-    }
-    return *global_;
-  }
-
-  std::unique_ptr<RankFn> global_;
-  /// Override ranks, sorted by port id (validated strictly increasing).
-  std::vector<std::pair<NodeId, std::unique_ptr<RankFn>>> ports_;
-};
-
-/// Wrap `global` in the per-port dispatcher when the spec has overrides;
-/// return it untouched (the exact global-only object) otherwise.
-std::unique_ptr<RankFn> wrap_per_port(const PolicySpec& spec,
-                                      std::unique_ptr<RankFn> global) {
-  if (spec.port_overrides.empty()) {
-    return global;
-  }
-  std::vector<std::pair<NodeId, std::unique_ptr<RankFn>>> ports;
-  ports.reserve(spec.port_overrides.size());
-  for (const auto& [port, value] : spec.port_overrides) {
-    PolicySpec per = spec;
-    per.port_overrides.clear();
-    if (spec.policy == "timeout" || spec.policy == "phase") {
-      per.timeout_ns = value;
-    } else if (spec.policy == "counter") {
-      per.threshold = static_cast<std::uint64_t>(value);
-    } else {
-      per.lifetime_ns = value;
-    }
-    ports.emplace_back(port, make_rank_fn(per));
-  }
-  return std::make_unique<PerPortRank>(std::move(global), std::move(ports));
-}
-
 }  // namespace
 
 const std::vector<std::string>& PolicySpec::known_policies() {
@@ -256,49 +189,6 @@ const std::vector<std::string>& PolicySpec::known_policies() {
       "none",      "never-evict", "timeout",  "counter", "lru",
       "lfu-decay", "deadline",    "phase",    "hybrid"};
   return kPolicies;
-}
-
-PolicySpec PolicySpec::from_config(const Config& cfg) {
-  PolicySpec spec;
-  spec.policy = cfg.get_string("policy", spec.policy);
-  spec.timeout_ns = cfg.get_int("policy-timeout", spec.timeout_ns);
-  spec.threshold = cfg.get_uint("policy-threshold", spec.threshold);
-  spec.capacity = cfg.get_uint("policy-capacity", spec.capacity);
-  spec.half_life_ns = cfg.get_int("policy-half-life", spec.half_life_ns);
-  spec.lifetime_ns = cfg.get_int("policy-lifetime", spec.lifetime_ns);
-  spec.phase_epoch_ns = cfg.get_int("policy-epoch", spec.phase_epoch_ns);
-  spec.phase_shift_threshold =
-      cfg.get_double("policy-shift", spec.phase_shift_threshold);
-  spec.weight_recency = cfg.get_uint("policy-w-recency", spec.weight_recency);
-  spec.weight_frequency =
-      cfg.get_uint("policy-w-frequency", spec.weight_frequency);
-  spec.recency_quantum_ns =
-      cfg.get_int("policy-quantum", spec.recency_quantum_ns);
-  spec.idle_ttl_ns = cfg.get_int("policy-idle-ttl", spec.idle_ttl_ns);
-  for (const std::string& item :
-       cfg.get_csv("policy-port-overrides", {})) {
-    const auto colon = item.find(':');
-    PMX_CHECK(colon != std::string::npos && colon > 0 &&
-                  colon + 1 < item.size(),
-              "port override must be port:value");
-    std::size_t port_pos = 0;
-    std::size_t value_pos = 0;
-    std::int64_t port = 0;
-    std::int64_t value = 0;
-    try {
-      port = std::stoll(item.substr(0, colon), &port_pos);
-      value = std::stoll(item.substr(colon + 1), &value_pos);
-    } catch (...) {
-      port_pos = 0;
-    }
-    PMX_CHECK(port_pos == colon && value_pos == item.size() - colon - 1,
-              "port override must be port:value with integer fields");
-    PMX_CHECK(port >= 0, "override port must be non-negative");
-    spec.port_overrides.emplace_back(static_cast<NodeId>(port), value);
-  }
-  std::ranges::sort(spec.port_overrides);
-  spec.validate();
-  return spec;
 }
 
 PolicySpec PolicySpec::parse(const std::string& token) {
@@ -334,21 +224,17 @@ PolicySpec PolicySpec::parse(const std::string& token) {
 }
 
 std::string PolicySpec::label() const {
-  std::string suffix;
-  if (!port_overrides.empty()) {
-    suffix = "+pp" + std::to_string(port_overrides.size());
-  }
   if (policy == "timeout" || policy == "phase") {
-    return policy + "-" + std::to_string(timeout_ns) + suffix;
+    return policy + "-" + std::to_string(timeout_ns);
   }
   if (policy == "counter") {
-    return policy + "-" + std::to_string(threshold) + suffix;
+    return policy + "-" + std::to_string(threshold);
   }
   if (policy == "lru" || policy == "lfu-decay" || policy == "hybrid") {
     return policy + "-" + std::to_string(capacity);
   }
   if (policy == "deadline") {
-    return policy + "-" + std::to_string(lifetime_ns) + suffix;
+    return policy + "-" + std::to_string(lifetime_ns);
   }
   return policy;  // none / never-evict take no parameter
 }
@@ -384,21 +270,6 @@ void PolicySpec::validate() const {
     PMX_CHECK(recency_quantum_ns > 0, "recency quantum must be positive");
     PMX_CHECK(weight_recency + weight_frequency > 0,
               "hybrid weights must be positive");
-  }
-  if (!port_overrides.empty()) {
-    // Per-port knobs are only meaningful for the horizon-encoded policies:
-    // a per-port capacity would change what "tracked-set overflow" means
-    // across the shared queue, so the capacity policies reject them.
-    PMX_CHECK(policy == "timeout" || policy == "phase" ||
-                  policy == "counter" || policy == "deadline",
-              "per-port overrides require a horizon policy "
-              "(timeout/phase/counter/deadline)");
-    for (std::size_t i = 0; i < port_overrides.size(); ++i) {
-      PMX_CHECK(port_overrides[i].second > 0,
-                "per-port override values must be positive");
-      PMX_CHECK(i == 0 || port_overrides[i - 1].first < port_overrides[i].first,
-                "per-port overrides must name distinct ports");
-    }
   }
 }
 
@@ -452,10 +323,10 @@ std::unique_ptr<RankFn> make_rank_fn(const PolicySpec& spec) {
   if (spec.policy == "timeout" || spec.policy == "phase") {
     // Phase-predictive = the timeout rank plus a WorkingSetTracker flush
     // trigger; the tracker is attached by make_policy().
-    return wrap_per_port(spec, make_timeout_rank(TimeNs{spec.timeout_ns}));
+    return make_timeout_rank(TimeNs{spec.timeout_ns});
   }
   if (spec.policy == "counter") {
-    return wrap_per_port(spec, make_counter_rank(spec.threshold));
+    return make_counter_rank(spec.threshold);
   }
   if (spec.policy == "lru") {
     return make_lru_rank(spec.capacity);
@@ -464,7 +335,7 @@ std::unique_ptr<RankFn> make_rank_fn(const PolicySpec& spec) {
     return make_lfu_decay_rank(spec.capacity, TimeNs{spec.half_life_ns});
   }
   if (spec.policy == "deadline") {
-    return wrap_per_port(spec, make_deadline_rank(TimeNs{spec.lifetime_ns}));
+    return make_deadline_rank(TimeNs{spec.lifetime_ns});
   }
   return make_hybrid_rank(spec.capacity, spec.weight_recency,
                           spec.weight_frequency,

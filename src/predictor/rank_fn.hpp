@@ -4,10 +4,8 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/message.hpp"
 #include "common/time.hpp"
 
@@ -94,12 +92,9 @@ class RankFn {
 };
 
 /// Policy selection plus every policy parameter, as one sweepable config
-/// value. Parsed from key=value Config bags (and therefore from any bench
-/// main's CLI via Config::from_cli) with the `policy` key family:
-///
-///   policy=lru policy-capacity=12
-///   policy=timeout policy-timeout=400
-///   policy=hybrid policy-capacity=8 policy-w-recency=1 policy-w-frequency=4
+/// value. Bench sweep axes name a policy and its primary knob with a
+/// compact `name[:value]` token (parse()); every other parameter keeps the
+/// default below unless code sets it.
 struct PolicySpec {
   std::string policy = "timeout";
 
@@ -121,22 +116,8 @@ struct PolicySpec {
   /// by the deadline/horizon policies (their expiry is the rank itself).
   std::int64_t idle_ttl_ns = 2000;
 
-  /// Per-source-port overrides of the policy's primary knob (timeout/phase
-  /// -> idle horizon ns, deadline -> lifetime ns, counter -> threshold):
-  /// sorted (port, value) pairs parsed from `policy-port-overrides=
-  /// 3:400,7:100`. Ports not listed keep the global knob. Only supported by
-  /// the horizon-encoded policies -- a per-port capacity would change what
-  /// "tracked-set overflow" means and is rejected by validate(). An empty
-  /// list takes the exact global-only code path (byte-identical behavior).
-  std::vector<std::pair<NodeId, std::int64_t>> port_overrides;
-
   /// Policies selectable by name.
   [[nodiscard]] static const std::vector<std::string>& known_policies();
-
-  /// Read the `policy` key family out of a Config bag. Every key is read
-  /// (with its default as fallback) so strict CLI parsing accepts any
-  /// policy parameter for any policy.
-  [[nodiscard]] static PolicySpec from_config(const Config& cfg);
 
   /// Parse a compact `name[:value]` token (bench sweep axes), where the
   /// optional value sets the policy's primary knob: timeout/phase -> the
@@ -175,10 +156,7 @@ std::unique_ptr<RankFn> make_hybrid_rank(std::size_t capacity,
                                          TimeNs recency_quantum,
                                          TimeNs half_life);
 
-/// Build the rank function a PolicySpec names (validates the spec). With
-/// port_overrides set, the horizon-encoded policies are wrapped in a
-/// per-port dispatcher that ranks each flow by its source port's knob;
-/// without overrides the global rank object is returned directly.
+/// Build the rank function a PolicySpec names (validates the spec).
 std::unique_ptr<RankFn> make_rank_fn(const PolicySpec& spec);
 
 }  // namespace pmx

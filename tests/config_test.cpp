@@ -1,10 +1,6 @@
 #include "common/config.hpp"
 
-#include "common/log.hpp"
-
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 namespace pmx {
 namespace {
@@ -20,20 +16,6 @@ TEST(Config, FromArgsParsesPairs) {
 TEST(Config, FromArgsRejectsMalformedTokens) {
   EXPECT_THROW((void)Config::from_args({"nodes"}), std::runtime_error);
   EXPECT_THROW((void)Config::from_args({"=5"}), std::runtime_error);
-}
-
-TEST(Config, FromTextIgnoresCommentsAndBlanks) {
-  const Config c = Config::from_text(R"(
-# a comment
-nodes = 64   # trailing
-  ratio=0.5
-)");
-  EXPECT_EQ(c.get_uint("nodes", 0), 64u);
-  EXPECT_DOUBLE_EQ(c.get_double("ratio", 0.0), 0.5);
-}
-
-TEST(Config, FromTextRejectsMalformedLine) {
-  EXPECT_THROW((void)Config::from_text("just a line\n"), std::runtime_error);
 }
 
 TEST(Config, FallbacksUsedWhenKeyAbsent) {
@@ -80,35 +62,6 @@ TEST(Config, LastValueWins) {
   c.set("k", "1");
   c.set("k", "2");
   EXPECT_EQ(c.get_int("k", 0), 2);
-}
-
-TEST(Logger, LevelGateAndSink) {
-  std::ostringstream sink;
-  Logger& log = Logger::instance();
-  const LogLevel old_level = log.level();
-  log.set_sink(&sink);
-  log.set_level(LogLevel::kInfo);
-  const auto before = log.messages_written();
-  PMX_LOG_DEBUG << "invisible";
-  PMX_LOG_INFO << "visible " << 42;
-  PMX_LOG_ERROR << "also visible";
-  log.set_sink(nullptr);
-  log.set_level(old_level);
-  EXPECT_EQ(log.messages_written() - before, 2u);
-  EXPECT_NE(sink.str().find("[info] visible 42"), std::string::npos);
-  EXPECT_EQ(sink.str().find("invisible"), std::string::npos);
-}
-
-TEST(Logger, OffSilencesEverything) {
-  std::ostringstream sink;
-  Logger& log = Logger::instance();
-  const LogLevel old_level = log.level();
-  log.set_sink(&sink);
-  log.set_level(LogLevel::kOff);
-  PMX_LOG_ERROR << "nope";
-  log.set_sink(nullptr);
-  log.set_level(old_level);
-  EXPECT_TRUE(sink.str().empty());
 }
 
 }  // namespace

@@ -2,105 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
-
 namespace pmx {
 namespace {
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.sum(), 0.0);
-}
-
-TEST(RunningStats, SingleSample) {
-  RunningStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_EQ(s.mean(), 5.0);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.min(), 5.0);
-  EXPECT_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStats, KnownMoments) {
-  RunningStats s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance of the data set above is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, MergeMatchesCombinedStream) {
-  Rng rng(5);
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform() * 10.0;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_EQ(empty.mean(), 1.0);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(10.0, 5);  // buckets [0,10) ... [40,50), overflow beyond
-  h.add(0.0);
-  h.add(9.99);
-  h.add(10.0);
-  h.add(49.0);
-  h.add(50.0);
-  h.add(1000.0);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(Histogram, NegativeClampsToZeroBucket) {
-  Histogram h(1.0, 4);
-  h.add(-5.0);
-  EXPECT_EQ(h.bucket(0), 1u);
-}
-
-TEST(Histogram, QuantileMedian) {
-  Histogram h(1.0, 100);
-  for (int i = 0; i < 100; ++i) {
-    h.add(static_cast<double>(i) + 0.5);
-  }
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-}
-
-TEST(Histogram, QuantileEmptyIsZero) {
-  Histogram h(1.0, 10);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-}
 
 TEST(CounterSet, DefaultZeroAndIncrement) {
   CounterSet c;

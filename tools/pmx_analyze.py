@@ -168,13 +168,11 @@ RAW_HEAP_EXEMPT = (
 )
 
 # Analytic-model / statistics files where floating-point accumulation is the
-# point (latency closed forms, Welford stats, derived run metrics). Slot and
-# event accounting elsewhere must stay integral.
+# point (latency closed forms, derived run metrics). Slot and event
+# accounting elsewhere must stay integral.
 FLOAT_ACCUM_WHITELIST = (
     "src/sched/latency_model.hpp",
     "src/sched/latency_model.cpp",
-    "src/common/stats.hpp",
-    "src/common/stats.cpp",
     "src/core/metrics.hpp",
     "src/core/metrics.cpp",
     # Stochastic arrival-process model: continuous-time exponential draws,

@@ -166,11 +166,11 @@ class AllowEscapeHatch(unittest.TestCase):
 
 class FloatAccumWhitelist(unittest.TestCase):
     def test_whitelisted_analytic_files_are_exempt(self):
-        self.assertEqual(lint_repo_file("src/common/stats.cpp",
+        self.assertEqual(lint_repo_file("src/core/metrics.cpp",
                                         "float-accum"), [])
         # The same content linted under a non-whitelisted name must trip.
-        findings = lint_repo_file("src/common/stats.cpp", "float-accum",
-                                  as_rel="src/common/stats_copy.cpp")
+        findings = lint_repo_file("src/core/metrics.cpp", "float-accum",
+                                  as_rel="src/core/metrics_copy.cpp")
         self.assertGreater(len(findings), 0)
 
 
