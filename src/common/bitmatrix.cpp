@@ -37,6 +37,16 @@ bool BitMatrix::none() const {
   return true;
 }
 
+bool BitMatrix::intersects(const BitMatrix& rhs) const {
+  PMX_CHECK(n_ == rhs.n_, "BitMatrix size mismatch in intersects");
+  for (std::size_t u = 0; u < n_; ++u) {
+    if (rows_[u].intersects(rhs.rows_[u])) {
+      return true;
+    }
+  }
+  return false;
+}
+
 bool BitMatrix::col_any(std::size_t v) const {
   for (const auto& r : rows_) {
     if (r.get(v)) {

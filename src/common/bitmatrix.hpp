@@ -41,6 +41,9 @@ class BitMatrix {
   [[nodiscard]] std::size_t count() const;
   [[nodiscard]] bool none() const;
   [[nodiscard]] bool any() const { return !none(); }
+  /// True when (*this & rhs) has at least one set entry: one row-wise
+  /// BitVector::intersects per row with early exit, no temporary matrix.
+  [[nodiscard]] bool intersects(const BitMatrix& rhs) const;
 
   /// OR-reduction of row u — AI_u in the paper: 1 iff input u is in use.
   [[nodiscard]] bool row_any(std::size_t u) const { return rows_[u].any(); }

@@ -1,8 +1,110 @@
 #include "nic/control_plane.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include "common/assert.hpp"
 
 namespace pmx {
+
+namespace {
+
+/// Formats one pair's findings, in the audit's fixed order.
+void report_pair(std::size_t u, std::size_t v, bool leak, bool intent,
+                 bool grant, bool grant_line, std::vector<std::string>& out) {
+  if (leak) {
+    out.push_back("leaked request (" + std::to_string(u) + " -> " +
+                  std::to_string(v) +
+                  "): scheduler holds R for a NIC that dropped it");
+  }
+  if (intent) {
+    out.push_back("wedged NIC (" + std::to_string(u) + " -> " +
+                  std::to_string(v) + "): intent raised but no request" +
+                  (grant_line ? ", grant," : "") + " or watchdog pending");
+  }
+  if (grant) {
+    out.push_back("wedged NIC (" + std::to_string(u) + " -> " +
+                  std::to_string(v) +
+                  "): connection established but the grant was lost");
+  }
+}
+
+void check_audit_shape(const RequestAuditInput& in) {
+  const std::size_t n = in.requests.size();
+  PMX_CHECK(in.established.size() == n && in.wants.size() == n &&
+                in.granted.size() == n && in.inflight.size() == n &&
+                in.armed.size() == n,
+            "request audit matrix size mismatch");
+}
+
+}  // namespace
+
+void audit_requests_ref(const RequestAuditInput& in,
+                        std::vector<std::string>& out) {
+  check_audit_shape(in);
+  const std::size_t n = in.requests.size();
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (u == v) {
+        continue;
+      }
+      const bool r = in.requests.get(u, v);
+      const bool wants = in.wants.get(u, v);
+      const bool established = in.established.get(u, v);
+      const bool granted = !in.grant_line || in.granted.get(u, v);
+      const bool inflight = in.inflight.get(u, v);
+      const bool armed = in.armed.get(u, v);
+      // Leak: the scheduler serves a request the NIC abandoned, no release
+      // is in flight, and no lease will ever reap it.
+      const bool leak = r && !wants && !inflight && !in.lease_active;
+      // With a grant line an established connection still moves data, so
+      // a lost request bit does not wedge it. Without one, skip-unrequested
+      // rotation passes the pair's configuration by forever.
+      const bool intent = wants && !r && !(in.grant_line && established) &&
+                          !inflight && !armed;
+      // The connection is live but the grant reply was lost and nothing
+      // will ever re-deliver it -- the slot burns idle grants.
+      const bool grant =
+          wants && established && !granted && !inflight && !armed;
+      report_pair(u, v, leak, intent, grant, in.grant_line, out);
+    }
+  }
+}
+
+// pmx-hot
+void audit_requests_fast(const RequestAuditInput& in,
+                         std::vector<std::string>& out) {
+  check_audit_shape(in);
+  const std::size_t n = in.requests.size();
+  const std::uint64_t no_lease = in.lease_active ? 0 : ~std::uint64_t{0};
+  const std::uint64_t line = in.grant_line ? ~std::uint64_t{0} : 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto r = in.requests.row(u).words();
+    const auto b = in.established.row(u).words();
+    const auto w = in.wants.row(u).words();
+    const auto g = in.granted.row(u).words();
+    const auto i = in.inflight.row(u).words();
+    const auto a = in.armed.row(u).words();
+    for (std::size_t wi = 0; wi < r.size(); ++wi) {
+      // Every term starts from a row's own word, whose bits past N are
+      // zero, so the complements never reach past the matrix.
+      const std::uint64_t quiet = ~i[wi] & ~a[wi];
+      const std::uint64_t leak = r[wi] & ~w[wi] & ~i[wi] & no_lease;
+      const std::uint64_t intent = w[wi] & ~r[wi] & quiet & ~(b[wi] & line);
+      const std::uint64_t grant = w[wi] & b[wi] & ~g[wi] & quiet & line;
+      std::uint64_t hits = leak | intent | grant;
+      if ((u >> 6) == wi) {
+        hits &= ~(std::uint64_t{1} << (u & 63));  // the diagonal never reports
+      }
+      for (; hits != 0; hits &= hits - 1) {
+        const int bit = std::countr_zero(hits);
+        report_pair(u, (wi << 6) + static_cast<std::size_t>(bit),
+                    ((leak >> bit) & 1U) != 0, ((intent >> bit) & 1U) != 0,
+                    ((grant >> bit) & 1U) != 0, in.grant_line, out);
+      }
+    }
+  }
+}
 
 ControlPlane::ControlPlane(Simulator& sim, ControlFaultModel& ctrl,
                            const Options& options, CounterSet& counters,
@@ -15,7 +117,11 @@ ControlPlane::ControlPlane(Simulator& sim, ControlFaultModel& ctrl,
       heal_(options.heal),
       counters_(counters),
       apply_(std::move(apply)),
-      pairs_(options.num_nodes * options.num_nodes) {
+      pairs_(options.num_nodes * options.num_nodes),
+      wants_(options.num_nodes),
+      granted_(options.num_nodes),
+      inflight_(options.num_nodes),
+      armed_(options.num_nodes) {
   PMX_CHECK(n_ >= 2, "control plane needs at least two nodes");
   PMX_CHECK(wire_ >= TimeNs::zero(), "negative control wire latency");
   PMX_CHECK(apply_ != nullptr, "control plane needs an apply hook");
@@ -23,10 +129,10 @@ ControlPlane::ControlPlane(Simulator& sim, ControlFaultModel& ctrl,
 
 void ControlPlane::want(NodeId u, NodeId v) {
   PairState& p = pair(u, v);
-  if (p.wants) {
+  if (wants_.get(u, v)) {
     return;
   }
-  p.wants = true;
+  wants_.set(u, v);
   p.attempts = 1;
   p.progressed = false;
   send_request(u, v, true);
@@ -37,14 +143,15 @@ void ControlPlane::want(NodeId u, NodeId v) {
 
 void ControlPlane::unwant(NodeId u, NodeId v) {
   PairState& p = pair(u, v);
-  if (!p.wants) {
+  if (!wants_.get(u, v)) {
     return;
   }
-  p.wants = false;
+  wants_.set(u, v, false);
   p.attempts = 1;
   if (p.watchdog != 0) {
     sim_.cancel(p.watchdog);
     p.watchdog = 0;
+    armed_.set(u, v, false);
   }
   send_request(u, v, false);
 }
@@ -65,12 +172,19 @@ void ControlPlane::send_request(NodeId u, NodeId v, bool value) {
         PairState& q = pair(u, v);
         if (q.pending_request > 0) {
           --q.pending_request;
+          sync_inflight(u, v);
         }
         apply_(u, v, value);
       });
   if (scheduled) {
     ++p.pending_request;
+    sync_inflight(u, v);
   }
+}
+
+void ControlPlane::sync_inflight(NodeId u, NodeId v) {
+  const PairState& p = pair(u, v);
+  inflight_.set(u, v, p.pending_request + p.pending_grant > 0);
 }
 
 void ControlPlane::arm_watchdog(NodeId u, NodeId v) {
@@ -82,12 +196,14 @@ void ControlPlane::arm_watchdog(NodeId u, NodeId v) {
                                      }
                                      on_watchdog(u, v);
                                    });
+  armed_.set(u, v);
 }
 
 void ControlPlane::on_watchdog(NodeId u, NodeId v) {
   PairState& p = pair(u, v);
   p.watchdog = 0;
-  if (!p.wants || !heal_) {
+  armed_.set(u, v, false);
+  if (!wants_.get(u, v) || !heal_) {
     return;
   }
   if (p.progressed) {
@@ -121,14 +237,14 @@ void ControlPlane::send_grant(NodeId u, NodeId v, bool value) {
         PairState& q = pair(u, v);
         if (q.pending_grant > 0) {
           --q.pending_grant;
+          sync_inflight(u, v);
         }
+        granted_.set(u, v, value);
         if (value) {
-          q.granted = true;
           q.progressed = true;
           return;
         }
-        q.granted = false;
-        if (q.wants) {
+        if (wants_.get(u, v)) {
           // Revoked while traffic is still queued (lease expiry racing new
           // demand, or a predictor release): re-request immediately.
           counters_.counter("ctrl_rerequests") += 1;
@@ -137,6 +253,7 @@ void ControlPlane::send_grant(NodeId u, NodeId v, bool value) {
       });
   if (scheduled) {
     ++p.pending_grant;
+    sync_inflight(u, v);
   }
 }
 
@@ -146,6 +263,18 @@ void ControlPlane::refresh_lease(NodeId u, NodeId v) {
 
 bool ControlPlane::lease_active() const {
   return heal_ && ctrl_.params().lease > TimeNs::zero();
+}
+
+RequestAuditInput ControlPlane::audit_input(
+    const BitMatrix& requests, const BitMatrix& established) const {
+  return RequestAuditInput{.requests = requests,
+                           .established = established,
+                           .wants = wants_,
+                           .granted = granted_,
+                           .inflight = inflight_,
+                           .armed = armed_,
+                           .grant_line = grant_line_,
+                           .lease_active = lease_active()};
 }
 
 bool ControlPlane::lease_expired(NodeId u, NodeId v) const {
@@ -169,13 +298,15 @@ std::size_t ControlPlane::begin_resync() {
     p.attempts = 1;
     p.progressed = false;
   }
+  inflight_.reset();
+  armed_.reset();
   return invalidated;
 }
 
 void ControlPlane::force_state(NodeId u, NodeId v, bool wants, bool granted) {
   PairState& p = pair(u, v);
-  p.wants = wants;
-  p.granted = granted;
+  wants_.set(u, v, wants);
+  granted_.set(u, v, granted);
   p.lease_stamp = sim_.now();
   if (wants && heal_) {
     arm_watchdog(u, v);

@@ -3,8 +3,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "common/bitmatrix.hpp"
 #include "common/message.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
@@ -12,6 +14,38 @@
 #include "sim/simulator.hpp"
 
 namespace pmx {
+
+/// Inputs of the request-vs-intent audit, all N x N: the scheduler's request
+/// matrix R and established aggregate B*, and the control plane's bit rows
+/// W (NIC wants), G (NIC believes granted), I (a request or grant in
+/// flight) and A (grant watchdog armed).
+struct RequestAuditInput {
+  const BitMatrix& requests;     ///< R
+  const BitMatrix& established;  ///< B*
+  const BitMatrix& wants;        ///< W
+  const BitMatrix& granted;      ///< G
+  const BitMatrix& inflight;     ///< I
+  const BitMatrix& armed;        ///< A
+  bool grant_line = true;
+  bool lease_active = false;
+};
+
+/// The request-vs-intent audit. For every pair u != v, in u then v order,
+/// it appends at most three lines, in this order:
+///   * leak -- R & ~W & ~I, only when no lease is active: the scheduler
+///     serves a request the NIC abandoned and nothing will reap it;
+///   * intent wedge -- W & ~R & ~I & ~A, masked by ~B* with a grant line:
+///     the NIC waits on a request the scheduler never heard of;
+///   * grant wedge -- W & B* & ~G & ~I & ~A, only with a grant line: the
+///     connection is live but the grant reply was lost for good.
+/// The word-parallel kernel evaluates the three predicates 64 pairs at a
+/// time and builds a string only for a set bit.
+void audit_requests_fast(const RequestAuditInput& in,
+                         std::vector<std::string>& out);
+/// Reference oracle: the same audit one pair at a time, kept for the
+/// differential tests.
+void audit_requests_ref(const RequestAuditInput& in,
+                        std::vector<std::string>& out);
 
 /// The NIC <-> TdmScheduler control endpoints under a lossy control channel.
 ///
@@ -26,6 +60,11 @@ namespace pmx {
 ///   * scheduler side -- the R matrix itself (owned by TdmScheduler) plus a
 ///     per-pair activity stamp backing the lease that auto-expires holds
 ///     whose release was lost.
+///
+/// The per-pair booleans the audit reads (wants, granted, in flight,
+/// watchdog armed) are kept as bit rows beside the scheduler's R and B*, so
+/// the audit is word-parallel; PairState keeps the counters, watchdog id and
+/// lease stamp behind them.
 ///
 /// One instance serves a whole network (state is per source-destination
 /// pair); TdmNetwork models the grant line (data gated on `granted`),
@@ -60,12 +99,12 @@ class ControlPlane {
   /// release is healed scheduler-side by the lease.
   void unwant(NodeId u, NodeId v);
   [[nodiscard]] bool wants(NodeId u, NodeId v) const {
-    return pair(u, v).wants;
+    return wants_.get(u, v);
   }
   /// The NIC's belief that the scheduler holds its connection. Always true
   /// when the grant line is not modeled.
   [[nodiscard]] bool granted(NodeId u, NodeId v) const {
-    return !grant_line_ || pair(u, v).granted;
+    return !grant_line_ || granted_.get(u, v);
   }
   /// Data moved for (u, v): feeds the watchdog's progress detector so an
   /// active pair is never spuriously reissued.
@@ -86,14 +125,21 @@ class ControlPlane {
 
   // --- Audit hooks ---------------------------------------------------------
   /// Control messages for (u, v) still in flight (scheduled deliveries).
+  /// Reads the counters, not the I bit row, so tests can check one against
+  /// the other.
   [[nodiscard]] bool inflight(NodeId u, NodeId v) const {
     const PairState& p = pair(u, v);
     return p.pending_request > 0 || p.pending_grant > 0;
   }
+  /// Reads the watchdog's event id, not the A bit row.
   [[nodiscard]] bool watchdog_armed(NodeId u, NodeId v) const {
     return pair(u, v).watchdog != 0;
   }
   [[nodiscard]] bool healing() const { return heal_; }
+  /// The request audit's inputs: the scheduler's R and B* beside this
+  /// plane's bit rows and flags.
+  [[nodiscard]] RequestAuditInput audit_input(
+      const BitMatrix& requests, const BitMatrix& established) const;
 
   // --- Resync (auditor recovery mode) --------------------------------------
   /// Invalidate every in-flight control message and watchdog (epoch bump);
@@ -115,8 +161,6 @@ class ControlPlane {
 
  private:
   struct PairState {
-    bool wants = false;
-    bool granted = false;
     /// Progress (data or a grant) observed since the watchdog last fired.
     bool progressed = false;
     std::uint32_t attempts = 1;
@@ -134,6 +178,8 @@ class ControlPlane {
   }
 
   void send_request(NodeId u, NodeId v, bool value);
+  /// Recompute (u, v)'s I bit after its pending counters changed.
+  void sync_inflight(NodeId u, NodeId v);
   void arm_watchdog(NodeId u, NodeId v);
   void on_watchdog(NodeId u, NodeId v);
 
@@ -146,6 +192,10 @@ class ControlPlane {
   CounterSet& counters_;
   ApplyRequestFn apply_;
   std::vector<PairState> pairs_;
+  BitMatrix wants_;     ///< W: the NIC's intent, mirrors its VOQ
+  BitMatrix granted_;   ///< G: the NIC's granted-belief
+  BitMatrix inflight_;  ///< I: pending_request + pending_grant > 0
+  BitMatrix armed_;     ///< A: watchdog != 0
   /// Bumped by begin_resync(); in-flight deliveries and watchdogs capture
   /// the epoch they were scheduled under and go inert on mismatch.
   std::uint64_t epoch_ = 0;

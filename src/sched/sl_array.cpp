@@ -1,5 +1,7 @@
 #include "sched/sl_array.hpp"
 
+#include <utility>
+
 #include "common/assert.hpp"
 
 namespace pmx {
@@ -65,20 +67,29 @@ SlPassResult sl_array_pass_ref(const BitMatrix& l,
 }
 
 // pmx-hot
-SlPassResult sl_array_pass_fast(const BitMatrix& l,
-                                const BitMatrix& slot_config,
-                                const BitVector& ai, const BitVector& ao,
-                                std::size_t a, std::size_t b) {
+const SlPassResult& sl_array_pass_fast(const BitMatrix& l,
+                                       const BitMatrix& slot_config,
+                                       const BitVector& ai, const BitVector& ao,
+                                       std::size_t a, std::size_t b,
+                                       SlPassWorkspace& ws) {
   const std::size_t n = l.size();
   PMX_CHECK(slot_config.size() == n, "SL array matrix size mismatch");
   PMX_CHECK(ai.size() == n && ao.size() == n,
             "SL array occupancy vector size mismatch");
+  PMX_CHECK(ws.result.toggles.size() == n && ws.col_occ.size() == n,
+            "SL array workspace size mismatch");
   PMX_CHECK(a < n && b < n, "priority rotation origin out of range");
 
-  SlPassResult result{BitMatrix(n), 0, 0, 0};
+  SlPassResult& result = ws.result;
+  result.toggles.reset();
+  result.establishes = 0;
+  result.releases = 0;
+  result.blocked = 0;
   // Occupied-column state threaded through the wavefront, seeded from the
-  // caller-maintained AO reduction. 1 = output port taken so far.
-  BitVector col_occ = ao;
+  // caller-maintained AO reduction. 1 = output port taken so far. Same-size
+  // copy assignment reuses the workspace's words.
+  BitVector& col_occ = ws.col_occ;
+  col_occ = ao;
 
   for (std::size_t du = 0; du < n; ++du) {
     const std::size_t u = (a + du) % n;
@@ -153,8 +164,10 @@ SlPassResult sl_array_pass_fast(const BitMatrix& l,
 
 SlPassResult sl_array_pass(const BitMatrix& l, const BitMatrix& slot_config,
                            std::size_t a, std::size_t b) {
-  return sl_array_pass_fast(l, slot_config, slot_config.row_or(),
-                            slot_config.col_or(), a, b);
+  SlPassWorkspace ws(l.size());
+  sl_array_pass_fast(l, slot_config, slot_config.row_or(),
+                     slot_config.col_or(), a, b, ws);
+  return std::move(ws.result);
 }
 
 }  // namespace pmx

@@ -64,6 +64,16 @@ struct SlPassResult {
                                              const BitMatrix& slot_config,
                                              std::size_t a, std::size_t b);
 
+/// Caller-owned storage of sl_array_pass_fast, sized once for n ports and
+/// reused across passes, so a pass allocates nothing.
+struct SlPassWorkspace {
+  explicit SlPassWorkspace(std::size_t n)
+      : result{BitMatrix(n), 0, 0, 0}, col_occ(n) {}
+  SlPassResult result;
+  /// Occupied-column state threaded through the wavefront.
+  BitVector col_occ;
+};
+
 /// Word-parallel pass with precomputed port-occupancy vectors:
 /// `ai` must equal slot_config.row_or() (input-port occupancy AI) and
 /// `ao` must equal slot_config.col_or() (output-port occupancy AO).
@@ -75,10 +85,13 @@ struct SlPassResult {
 /// whose input port stays busy is popcount-blocked in one step, and the
 /// winning establish column is found by a masked find-first-set scan over
 /// the request word ANDed with the complement of the occupancy vector.
-[[nodiscard]] SlPassResult sl_array_pass_fast(const BitMatrix& l,
-                                              const BitMatrix& slot_config,
-                                              const BitVector& ai,
-                                              const BitVector& ao,
-                                              std::size_t a, std::size_t b);
+///
+/// The result overwrites `ws.result` (the returned reference), so it is
+/// valid until the next pass on the same workspace.
+const SlPassResult& sl_array_pass_fast(const BitMatrix& l,
+                                       const BitMatrix& slot_config,
+                                       const BitVector& ai, const BitVector& ao,
+                                       std::size_t a, std::size_t b,
+                                       SlPassWorkspace& ws);
 
 }  // namespace pmx

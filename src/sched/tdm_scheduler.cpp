@@ -1,10 +1,139 @@
 #include "sched/tdm_scheduler.hpp"
 
+#include <cstdint>
+
 #include "common/assert.hpp"
 #include "sched/presched.hpp"
-#include "sched/sl_array.hpp"
 
 namespace pmx {
+
+namespace {
+
+/// Which of one slot's invariants fail.
+struct SlotFaults {
+  bool double_alloc = false;
+  bool ai_diverged = false;
+  bool ao_diverged = false;
+};
+
+void report_slot(std::size_t s, const SlotFaults& faults,
+                 std::vector<std::string>& out) {
+  if (faults.double_alloc) {
+    out.push_back("slot " + std::to_string(s) +
+                  " double-allocates a crosspoint (configuration is not "
+                  "a partial permutation)");
+  }
+  if (faults.ai_diverged) {
+    out.push_back("slot " + std::to_string(s) +
+                  " AI occupancy cache diverged from its configuration");
+  }
+  if (faults.ao_diverged) {
+    out.push_back("slot " + std::to_string(s) +
+                  " AO occupancy cache diverged from its configuration");
+  }
+}
+
+void report_b_star(std::vector<std::string>& out) {
+  out.push_back("B* diverged from the union of the slot configurations");
+}
+
+void check_audit_shape(const SlotAuditInput& in) {
+  const std::size_t n = in.established.size();
+  PMX_CHECK(in.ai.size() == in.slots.size() && in.ao.size() == in.slots.size(),
+            "slot audit cache count mismatch");
+  for (std::size_t s = 0; s < in.slots.size(); ++s) {
+    PMX_CHECK(in.slots[s].size() == n && in.ai[s].size() == n &&
+                  in.ao[s].size() == n,
+              "slot audit size mismatch");
+  }
+}
+
+// pmx-hot
+SlotFaults scan_slot(const BitMatrix& config, const BitVector& ai,
+                     const BitVector& ao) {
+  const std::size_t n = config.size();
+  SlotFaults faults;
+  // Rows: a second set bit in a row -- in the same word, or in another --
+  // double-allocates its input port, and the row's OR-reduction is its AI
+  // bit, compared 64 rows at a time.
+  std::uint64_t ai_word = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    bool occupied = false;
+    for (const std::uint64_t w : config.row(u).words()) {
+      if (w != 0) {
+        faults.double_alloc =
+            faults.double_alloc || occupied || (w & (w - 1)) != 0;
+        occupied = true;
+      }
+    }
+    ai_word |= static_cast<std::uint64_t>(occupied) << (u & 63);
+    if ((u & 63) == 63 || u + 1 == n) {
+      faults.ai_diverged = faults.ai_diverged || ai_word != ai.words()[u >> 6];
+      ai_word = 0;
+    }
+  }
+  // Columns, one word column at a time: a bit already seen in this column
+  // double-allocates its output port, and the OR of the column word is AO.
+  const auto ao_words = ao.words();
+  for (std::size_t wi = 0; wi < ao_words.size(); ++wi) {
+    std::uint64_t seen = 0;
+    for (std::size_t u = 0; u < n; ++u) {
+      const std::uint64_t w = config.row(u).words()[wi];
+      faults.double_alloc = faults.double_alloc || (seen & w) != 0;
+      seen |= w;
+    }
+    faults.ao_diverged = faults.ao_diverged || seen != ao_words[wi];
+  }
+  return faults;
+}
+
+// pmx-hot
+bool union_matches(const std::vector<BitMatrix>& slots,
+                   const BitMatrix& b_star) {
+  for (std::size_t u = 0; u < b_star.size(); ++u) {
+    const auto want = b_star.row(u).words();
+    for (std::size_t wi = 0; wi < want.size(); ++wi) {
+      std::uint64_t all = 0;
+      for (const BitMatrix& slot : slots) {
+        all |= slot.row(u).words()[wi];
+      }
+      if (all != want[wi]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+void audit_invariants_fast(const SlotAuditInput& in,
+                           std::vector<std::string>& out) {
+  check_audit_shape(in);
+  for (std::size_t s = 0; s < in.slots.size(); ++s) {
+    report_slot(s, scan_slot(in.slots[s], in.ai[s], in.ao[s]), out);
+  }
+  if (!union_matches(in.slots, in.established)) {
+    report_b_star(out);
+  }
+}
+
+void audit_invariants_ref(const SlotAuditInput& in,
+                          std::vector<std::string>& out) {
+  check_audit_shape(in);
+  BitMatrix all(in.established.size());
+  for (std::size_t s = 0; s < in.slots.size(); ++s) {
+    const BitMatrix& config = in.slots[s];
+    const SlotFaults faults{.double_alloc = !config.is_partial_permutation(),
+                            .ai_diverged = in.ai[s] != config.row_or(),
+                            .ao_diverged = in.ao[s] != config.col_or()};
+    report_slot(s, faults, out);
+    all |= config;
+  }
+  if (!(all == in.established)) {
+    report_b_star(out);
+  }
+}
 
 TdmScheduler::TdmScheduler(const Options& options)
     : n_(options.num_ports),
@@ -22,6 +151,7 @@ TdmScheduler::TdmScheduler(const Options& options)
       pinned_(k_, false),
       b_star_(n_),
       zero_(n_),
+      pass_ws_(n_),
       slot_clean_(k_, false) {
   PMX_CHECK(n_ >= 2, "scheduler needs at least two ports");
   PMX_CHECK(k_ >= 1, "scheduler needs at least one slot");
@@ -231,8 +361,8 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
 
   bool touched = false;
   if (l.any()) {
-    const SlPassResult pass = sl_array_pass_fast(
-        l, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin);
+    const SlPassResult& pass = sl_array_pass_fast(
+        l, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin, pass_ws_);
     apply_toggles(s, pass.toggles);
     result.establishes = pass.establishes;
     result.releases = pass.releases;
@@ -251,8 +381,8 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
       l2.set_row(u, row);
     }
     if (l2.any()) {
-      const SlPassResult dup = sl_array_pass_fast(
-          l2, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin);
+      const SlPassResult& dup = sl_array_pass_fast(
+          l2, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin, pass_ws_);
       apply_toggles(s, dup.toggles);
       result.establishes += dup.establishes;
       touched = touched || dup.toggles.any();
@@ -292,12 +422,13 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
   return result;
 }
 
+// pmx-hot
 std::optional<std::size_t> TdmScheduler::advance_slot() {
   ++stats_.slot_advances;
   const std::size_t start = current_slot_ ? (*current_slot_ + 1) % k_ : 0;
   for (std::size_t i = 0; i < k_; ++i) {
     const std::size_t s = (start + i) % k_;
-    const bool live = skip_unrequested_ ? (slots_[s] & requests_).any()
+    const bool live = skip_unrequested_ ? slots_[s].intersects(requests_)
                                         : slots_[s].any();
     if (live) {
       current_slot_ = s;
@@ -354,29 +485,6 @@ void TdmScheduler::rebuild_b_star() {
   b_star_.reset();
   for (const auto& slot : slots_) {
     b_star_ |= slot;
-  }
-}
-
-void TdmScheduler::audit_invariants(std::vector<std::string>& out) const {
-  BitMatrix all(n_);
-  for (std::size_t s = 0; s < k_; ++s) {
-    if (!slots_[s].is_partial_permutation()) {
-      out.push_back("slot " + std::to_string(s) +
-                    " double-allocates a crosspoint (configuration is not "
-                    "a partial permutation)");
-    }
-    if (slot_ai_[s] != slots_[s].row_or()) {
-      out.push_back("slot " + std::to_string(s) +
-                    " AI occupancy cache diverged from its configuration");
-    }
-    if (slot_ao_[s] != slots_[s].col_or()) {
-      out.push_back("slot " + std::to_string(s) +
-                    " AO occupancy cache diverged from its configuration");
-    }
-    all |= slots_[s];
-  }
-  if (!(all == b_star_)) {
-    out.push_back("B* diverged from the union of the slot configurations");
   }
 }
 

@@ -8,8 +8,32 @@
 #include <vector>
 
 #include "common/bitmatrix.hpp"
+#include "sched/sl_array.hpp"
 
 namespace pmx {
+
+/// Inputs of the slot-invariant audit: the K configuration registers, their
+/// incrementally maintained AI/AO occupancy caches, and B*.
+struct SlotAuditInput {
+  const std::vector<BitMatrix>& slots;
+  const std::vector<BitVector>& ai;
+  const std::vector<BitVector>& ao;
+  const BitMatrix& established;  ///< B*
+};
+
+/// The slot-invariant audit. For each slot in ascending order it appends
+/// one line when the configuration double-allocates a crosspoint (is not a
+/// partial permutation), one when the AI cache differs from the row ORs,
+/// and one when the AO cache differs from the column ORs; a last line when
+/// B* is not the union of the slots. The word-parallel kernel reads each
+/// configuration word once per check and allocates nothing unless it
+/// reports.
+void audit_invariants_fast(const SlotAuditInput& in,
+                           std::vector<std::string>& out);
+/// Reference oracle: the same audit through BitMatrix::is_partial_permutation,
+/// row_or, col_or and a union matrix, kept for the differential tests.
+void audit_invariants_ref(const SlotAuditInput& in,
+                          std::vector<std::string>& out);
 
 /// Aggregate counters maintained by the scheduler.
 struct SchedulerStats {
@@ -186,7 +210,13 @@ class TdmScheduler {
   /// (no crosspoint double-allocation), the incrementally maintained AI/AO
   /// occupancy caches match their configurations (XOR-parity bookkeeping),
   /// and B* equals the union of the slots. Appends one line per violation.
-  void audit_invariants(std::vector<std::string>& out) const;
+  void audit_invariants(std::vector<std::string>& out) const {
+    audit_invariants_fast(audit_input(), out);
+  }
+  /// The invariant audit's inputs, live.
+  [[nodiscard]] SlotAuditInput audit_input() const {
+    return {slots_, slot_ai_, slot_ao_, b_star_};
+  }
 
  private:
   void rebuild_b_star();
@@ -228,6 +258,8 @@ class TdmScheduler {
   std::vector<bool> pinned_;
   BitMatrix b_star_;
   BitMatrix zero_;
+  /// Reused storage of every SL pass.
+  SlPassWorkspace pass_ws_;
 
   /// Quiescence memo: slot_clean_[s] means the last pass on s produced no
   /// toggles and no request/hold/configuration input has changed since, so

@@ -66,9 +66,6 @@ class TdmNetwork : public TdmNetworkBase {
 
   /// The online re-optimization service, when params.reopt.enabled().
   [[nodiscard]] const ReoptService* reopt() const { return reopt_.get(); }
-  /// NIC-side control-plane endpoints; non-null only with a lossy control
-  /// channel. Mutable access is for the epoch wraparound soak tests.
-  [[nodiscard]] ControlPlane* control_plane() { return plane_.get(); }
   [[nodiscard]] const ReoptStats* reopt_stats() const override {
     return reopt_ ? &reopt_->stats() : nullptr;
   }

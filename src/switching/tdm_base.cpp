@@ -13,8 +13,7 @@ TdmNetworkBase::TdmNetworkBase(Simulator& sim, const SystemParams& params,
                                    .num_slots = params.mux_degree,
                                    .multi_slot_connections = multi_slot,
                                    .skip_unrequested_slots = true}),
-      voqs_(params.num_nodes, VoqSet(params.num_nodes)),
-      grant_line_(grant_line) {
+      voqs_(params.num_nodes, VoqSet(params.num_nodes)) {
   if (admission_enabled()) {
     for (auto& voq : voqs_) {
       voq.set_capacity(params.admission.capacity_bytes,
@@ -152,45 +151,9 @@ void TdmNetworkBase::audit_control(std::vector<std::string>& out) {
 }
 
 void TdmNetworkBase::audit_requests(std::vector<std::string>& out) const {
-  if (!plane_) {
-    return;
-  }
-  const std::size_t n = params_.num_nodes;
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v) {
-        continue;
-      }
-      const bool r = sched_.request(u, v);
-      const bool wants = plane_->wants(u, v);
-      if (r && !wants && !plane_->inflight(u, v) && !plane_->lease_active()) {
-        // Leak: the scheduler serves a request the NIC abandoned, no release
-        // is in flight, and no lease will ever reap it.
-        out.push_back("leaked request (" + std::to_string(u) + " -> " +
-                      std::to_string(v) +
-                      "): scheduler holds R for a NIC that dropped it");
-      }
-      // With a grant line an established connection still moves data, so
-      // a lost request bit does not wedge it. Without one, skip-unrequested
-      // rotation passes the pair's configuration by forever.
-      if (wants && !r && !(grant_line_ && sched_.is_established(u, v)) &&
-          !plane_->inflight(u, v) && !plane_->watchdog_armed(u, v)) {
-        // Wedge: the NIC waits for a connection the scheduler never heard
-        // of, and nothing (in-flight message or watchdog) can fix that.
-        out.push_back(
-            "wedged NIC (" + std::to_string(u) + " -> " + std::to_string(v) +
-            "): intent raised but no request" +
-            (grant_line_ ? ", grant," : "") + " or watchdog pending");
-      }
-      if (wants && sched_.is_established(u, v) && !plane_->granted(u, v) &&
-          !plane_->inflight(u, v) && !plane_->watchdog_armed(u, v)) {
-        // Wedge: the connection is live but the grant reply was lost and
-        // nothing will ever re-deliver it -- the slot burns idle grants.
-        out.push_back("wedged NIC (" + std::to_string(u) + " -> " +
-                      std::to_string(v) +
-                      "): connection established but the grant was lost");
-      }
-    }
+  if (plane_) {
+    audit_requests_fast(
+        plane_->audit_input(sched_.requests(), sched_.established()), out);
   }
 }
 

@@ -23,6 +23,9 @@ namespace pmx {
 class TdmNetworkBase : public Network {
  public:
   [[nodiscard]] const TdmScheduler& scheduler() const { return sched_; }
+  /// NIC-side control-plane endpoints; non-null only with a lossy control
+  /// channel. Mutable access is for the epoch wraparound soak tests.
+  [[nodiscard]] ControlPlane* control_plane() { return plane_.get(); }
   /// Pending bytes still queued in the VOQs (for drain checks in tests).
   [[nodiscard]] std::uint64_t queued_bytes() const;
 
@@ -56,7 +59,7 @@ class TdmNetworkBase : public Network {
                          std::optional<std::size_t> phase = std::nullopt);
   /// Lossy channel only: report requests the NIC abandoned that nothing
   /// will reap, and intents the scheduler never heard of that nothing will
-  /// re-send.
+  /// re-send (audit_requests_fast over R, B* and the plane's bit rows).
   void audit_requests(std::vector<std::string>& out) const;
   /// Lossy channel only: clear request bits whose NIC has been silent
   /// longer than the lease (the release was lost) and revoke their grants.
@@ -76,8 +79,6 @@ class TdmNetworkBase : public Network {
   void apply_request(NodeId u, NodeId v, bool value);
   /// The NIC dropped its intent for (u, v).
   void drop_request(NodeId u, NodeId v);
-
-  bool grant_line_;
 };
 
 }  // namespace pmx

@@ -41,12 +41,14 @@ BitMatrix random_partial_permutation(Rng& rng, std::size_t n, double fill) {
   return m;
 }
 
-/// Run both implementations and require bit-identical results.
+/// Run both implementations and require bit-identical results. The fast
+/// pass writes into `ws`, which callers reuse across cases so that state
+/// left by an earlier pass would show.
 void expect_identical(const BitMatrix& l, const BitMatrix& config,
-                      std::size_t a, std::size_t b) {
+                      std::size_t a, std::size_t b, SlPassWorkspace& ws) {
   const SlPassResult ref = sl_array_pass_ref(l, config, a, b);
-  const SlPassResult fast =
-      sl_array_pass_fast(l, config, config.row_or(), config.col_or(), a, b);
+  const SlPassResult& fast = sl_array_pass_fast(
+      l, config, config.row_or(), config.col_or(), a, b, ws);
   ASSERT_EQ(fast.toggles, ref.toggles)
       << "n=" << config.size() << " a=" << a << " b=" << b;
   EXPECT_EQ(fast.establishes, ref.establishes);
@@ -61,6 +63,7 @@ class SlArrayDiffTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(SlArrayDiffTest, RandomRequestsMatchReference) {
   const std::size_t n = GetParam();
   Rng rng(n * 7919 + 101);
+  SlPassWorkspace ws(n);
   const double densities[] = {0.02, 0.1, 0.5, 0.95};
   const double fills[] = {0.0, 0.3, 0.7, 1.0};
   for (const double density : densities) {
@@ -68,7 +71,7 @@ TEST_P(SlArrayDiffTest, RandomRequestsMatchReference) {
       for (int rep = 0; rep < 6; ++rep) {
         const BitMatrix config = random_partial_permutation(rng, n, fill);
         const BitMatrix l = random_requests(rng, n, density);
-        expect_identical(l, config, rng.below(n), rng.below(n));
+        expect_identical(l, config, rng.below(n), rng.below(n), ws);
       }
     }
   }
@@ -80,11 +83,12 @@ TEST_P(SlArrayDiffTest, RandomRequestsMatchReference) {
 TEST_P(SlArrayDiffTest, PrescheduledRequestsMatchReference) {
   const std::size_t n = GetParam();
   Rng rng(n * 104729 + 7);
+  SlPassWorkspace ws(n);
   for (int rep = 0; rep < 12; ++rep) {
     const BitMatrix config = random_partial_permutation(rng, n, 0.5);
     const BitMatrix requests = random_requests(rng, n, 0.15);
     const BitMatrix l = preschedule(requests, config, config);
-    expect_identical(l, config, rng.below(n), rng.below(n));
+    expect_identical(l, config, rng.below(n), rng.below(n), ws);
   }
 }
 
@@ -95,6 +99,7 @@ TEST_P(SlArrayDiffTest, PrescheduledRequestsMatchReference) {
 TEST_P(SlArrayDiffTest, MaskedPortsMatchReference) {
   const std::size_t n = GetParam();
   Rng rng(n * 31337 + 3);
+  SlPassWorkspace ws(n);
   for (int rep = 0; rep < 12; ++rep) {
     const BitMatrix config = random_partial_permutation(rng, n, 0.6);
     BitMatrix l = random_requests(rng, n, 0.2);
@@ -113,7 +118,7 @@ TEST_P(SlArrayDiffTest, MaskedPortsMatchReference) {
       row.and_not(down_out);  // down output port: no requests to column
       l.set_row(u, row);
     }
-    expect_identical(l, config, rng.below(n), rng.below(n));
+    expect_identical(l, config, rng.below(n), rng.below(n), ws);
   }
 }
 
@@ -124,12 +129,13 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SlArrayDiffTest,
 TEST(SlArrayDiff, AllOriginsSmall) {
   constexpr std::size_t n = 9;
   Rng rng(42);
+  SlPassWorkspace ws(n);
   for (int rep = 0; rep < 4; ++rep) {
     const BitMatrix config = random_partial_permutation(rng, n, 0.5);
     const BitMatrix l = random_requests(rng, n, 0.3);
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = 0; b < n; ++b) {
-        expect_identical(l, config, a, b);
+        expect_identical(l, config, a, b, ws);
       }
     }
   }

@@ -45,11 +45,21 @@ hatch and one fingerprint-baseline format (tools/pmx_lexer.py). The passes:
    ``// pmx-hot`` comment on the line above its signature must not allocate:
    no ``new`` / ``make_unique`` / ``make_shared``, no ``std::function``
    construction, no string building (``std::string`` construction,
-   ``to_string``, stringstreams, concatenation), and no container growth
-   (``push_back`` & friends, ``insert``, ``resize``) on containers that are
-   never ``reserve``d in the same file or its paired header. Annotated
-   kernels: ``sl_array_pass_fast`` (the word-parallel scheduler pass),
-   the EventQueue heap ops, and the VOQ drain path.
+   ``to_string``, stringstreams, concatenation), no owning bitset
+   (a by-value ``BitMatrix`` / ``BitVector`` declaration, copy or
+   temporary, or a ``row_or()`` / ``col_or()`` reduction, each of which
+   allocates fresh words), and no container growth (``push_back`` &
+   friends, ``insert``, ``resize``) on containers that are never
+   ``reserve``d in the same file or its paired header. A lexer cannot see
+   types: ``(a & b).any()`` or ``auto c = a ^ b`` on bitsets builds a
+   temporary through an operator and passes unflagged -- the pattern
+   ``TdmScheduler::advance_slot`` used before it took
+   ``BitMatrix::intersects``. Annotated kernels: ``sl_array_pass_fast``
+   (the word-parallel scheduler pass), ``TdmScheduler::advance_slot`` (the
+   TDM counter), the word loops of the request audit
+   (``audit_requests_fast``) and of the slot-invariant audit
+   (``scan_slot``, ``union_matches``), the EventQueue heap ops, and the VOQ
+   drain path.
 
 5. Line-local hygiene (the lint rules, LINT_RULES):
 
@@ -250,6 +260,12 @@ HOT_ALLOC_RE = re.compile(
 HOT_STRING_RE = re.compile(
     r"\bto_string\s*\(|\b[ois]?stringstream\b|\bstd::string\b"
     r'|""\s*\+|\+\s*""|\.append\s*\(')
+#: Owning bitsets: a by-value BitMatrix/BitVector declaration, copy or
+#: temporary, and the row_or()/col_or() reductions that return one. Blind to
+#: bitset operators (`a & b`) and `auto` copies: the lexer has no types.
+HOT_BITSET_RE = re.compile(
+    r"\bBit(?:Matrix|Vector)\s*(?:[A-Za-z_]\w*\s*)?[({=;]"
+    r"|\b(?:row_or|col_or)\s*\(")
 HOT_GROW_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?\.\s*"
     r"(?:push_back|push_front|emplace_back|emplace_front|emplace"
@@ -643,6 +659,11 @@ def hot_path_pass(lexed: LexedFile, extra_scope: list[str],
                 lexed.emit(findings, lineno, "hot-path-alloc",
                            "string building in a hot kernel: "
                            + RULES["hot-path-alloc"])
+                continue
+            if HOT_BITSET_RE.search(line):
+                lexed.emit(findings, lineno, "hot-path-alloc",
+                           "owning bitset copy, temporary or reduction in a "
+                           "hot kernel: " + RULES["hot-path-alloc"])
                 continue
             for m in HOT_GROW_RE.finditer(line):
                 if m.group(1) in reserved:

@@ -124,6 +124,14 @@ class RuleFixtures(unittest.TestCase):
         self.assert_rule("hot_path_alloc_bad.cpp", "hot_path_alloc_good.cpp",
                          "hot-path-alloc", 4)
 
+    def test_hot_path_bitset(self):
+        # Owning bitsets inside the one pmx-hot region: a by-value
+        # BitMatrix, a BitVector copy, a BitVector temporary, and row_or()
+        # and col_or() reductions. The un-annotated cold() twin is not
+        # flagged; the good fixture's reference-and-scratch kernel is clean.
+        self.assert_rule("hot_path_bitset_bad.cpp",
+                         "hot_path_bitset_good.cpp", "hot-path-alloc", 5)
+
 
 class MonotonicClockScope(unittest.TestCase):
     def test_steady_clock_banned_only_under_src(self):
