@@ -1,11 +1,69 @@
 #pragma once
 
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/bitmatrix.hpp"
+#include "common/bitvector.hpp"
 #include "nic/voq.hpp"
 #include "switching/network.hpp"
 
 namespace pmx {
+
+/// Round-robin pick, the wormhole arbiters' programmable priority encoder:
+/// the first index in the rotated order start, start + 1, ..., n - 1, 0,
+/// ..., start - 1 (n = requests.size(), start < n) that is set in
+/// `requests`, clear in `busy` and accepted by `eligible`; n when there is
+/// none. `eligible` sees only indices that pass both masks, in that order,
+/// and the pick stops at the first it accepts. One word of
+/// `requests & ~busy` is scanned at a time: the start word from bit
+/// `start` up, the words after it, the words before it, and last the start
+/// word again below bit `start`.
+// pmx-hot
+template <typename Eligible>
+std::size_t rr_pick(const BitVector& requests, const BitVector& busy,
+                    std::size_t start, Eligible&& eligible) {
+  const std::span<const std::uint64_t> req = requests.words();
+  const std::span<const std::uint64_t> held = busy.words();
+  const std::size_t nw = req.size();
+  const std::size_t first = start >> 6;
+  const std::uint64_t below = (std::uint64_t{1} << (start & 63)) - 1;
+  for (std::size_t k = 0; k <= nw; ++k) {
+    const std::size_t wi = first + k < nw ? first + k : first + k - nw;
+    std::uint64_t w = req[wi] & ~held[wi];
+    if (k == 0) {
+      w &= ~below;
+    } else if (k == nw) {
+      w &= below;
+    }
+    for (; w != 0; w &= w - 1) {
+      const std::size_t i =
+          (wi << 6) + static_cast<std::size_t>(std::countr_zero(w));
+      if (eligible(i)) {
+        return i;
+      }
+    }
+  }
+  return requests.size();
+}
+
+/// Scalar oracle of rr_pick: the modulo loop the arbiters ran before,
+/// kept for the differential tests.
+template <typename Eligible>
+std::size_t rr_pick_ref(const BitVector& requests, const BitVector& busy,
+                        std::size_t start, Eligible&& eligible) {
+  const std::size_t n = requests.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t v = (start + i) % n;
+    if (requests.get(v) && !busy.get(v) && eligible(v)) {
+      return v;
+    }
+  }
+  return n;
+}
 
 /// Wormhole-routed crossbar baseline (Section 5).
 ///
@@ -27,11 +85,41 @@ namespace pmx {
 ///    once per message: later worms are buffered inside the switch.
 class WormholeNetwork final : public Network {
  public:
+  /// Per-input NIC state.
+  struct SourceState {
+    VoqSet voqs;
+    std::size_t rr = 0;    ///< round-robin cursor over destinations
+    NodeId active_dst = 0;      ///< destination of the in-flight worm
+    MessageId active_msg = 0;   ///< message the in-flight worm belongs to
+    // --- Lossy control channel only ---------------------------------------
+    bool retry_armed = false;   ///< a dispatch retry event is pending
+    std::size_t attempts = 1;   ///< arbitration-retry backoff level
+    /// Audit debounce: was this source idle with dispatchable traffic at
+    /// the previous audit already?
+    bool audit_stall = false;
+    explicit SourceState(std::size_t n) : voqs(n) {}
+  };
+
+  /// Read-only view of the arbiters' state. `waiting` is the VOQs' column
+  /// view: row v holds the inputs with a message queued to v. A bit of
+  /// `input_busy` marks an input with a worm in flight (to its source's
+  /// active_dst), a bit of `output_busy` an output such a worm holds.
+  struct ArbiterView {
+    std::span<const SourceState> sources;
+    const BitMatrix& waiting;
+    const BitVector& input_busy;
+    const BitVector& output_busy;
+  };
+
   WormholeNetwork(Simulator& sim, const SystemParams& params);
 
   [[nodiscard]] std::string name() const override { return "wormhole"; }
 
   [[nodiscard]] std::uint64_t queued_bytes() const;
+
+  [[nodiscard]] ArbiterView arbiter_view() const {
+    return {sources_, waiting_, input_busy_, output_busy_};
+  }
 
  protected:
   void do_submit(const Message& msg) override;
@@ -55,35 +143,31 @@ class WormholeNetwork final : public Network {
                                             TimeNs cutoff) override;
 
  private:
-  /// Try to dispatch one worm from input `src` (if idle) to any pending
-  /// destination with a free output port. Under the lossy control channel
-  /// the head-flit arbitration request itself can be dropped or delayed;
-  /// a lost request is retried with backoff when healing is on.
+  /// The output that input `src` would send its next worm to: the first in
+  /// round-robin order from its cursor with a queued message, a free port
+  /// and a live link; num_nodes when there is none. The one definition of
+  /// "dispatchable", shared by dispatch and the wedge audit.
+  [[nodiscard]] std::size_t pick_output(NodeId src) const;
+  /// Try to dispatch one worm from input `src` (if idle) to pick_output().
+  /// Under the lossy control channel the head-flit arbitration request
+  /// itself can be dropped or delayed; a lost request is retried with
+  /// backoff when healing is on.
   void try_dispatch(NodeId src);
   /// End-of-worm bookkeeping: release ports, finish messages, rematch.
   void worm_done(NodeId src, NodeId dst, std::uint64_t worm_bytes);
   /// Fault reaction: poison in-flight worms on a dead link; rematch idle
   /// inputs when a link comes back.
   void on_link_change(NodeId node, bool up);
-
-  struct SourceState {
-    VoqSet voqs;
-    bool busy = false;     ///< a worm from this input is in flight
-    std::size_t rr = 0;    ///< round-robin cursor over destinations
-    NodeId active_dst = 0;      ///< destination of the in-flight worm
-    MessageId active_msg = 0;   ///< message the in-flight worm belongs to
-    // --- Lossy control channel only ---------------------------------------
-    bool retry_armed = false;   ///< a dispatch retry event is pending
-    std::size_t attempts = 1;   ///< arbitration-retry backoff level
-    /// Audit debounce: was this source idle with dispatchable traffic at
-    /// the previous audit already?
-    bool audit_stall = false;
-    explicit SourceState(std::size_t n) : voqs(n) {}
-  };
+  /// Refresh waiting_'s bit for VOQ (src, dst) after it may have changed
+  /// emptiness.
+  void note_voq(NodeId src, NodeId dst) {
+    waiting_.set(dst, src, !sources_[src].voqs.empty(dst));
+  }
 
   std::vector<SourceState> sources_;
-  std::vector<bool> output_busy_;
-  std::vector<std::size_t> output_rr_;  ///< per-output wake-up rotation
+  BitMatrix waiting_;      ///< row v: inputs with a non-empty VOQ to v
+  BitVector input_busy_;   ///< inputs with a worm in flight
+  BitVector output_busy_;  ///< outputs held by a worm in flight
 };
 
 }  // namespace pmx

@@ -44,11 +44,15 @@ inline double line_rate() {
 ///   * the four Figure 4 patterns under all four paradigms (24 nodes,
 ///     192-byte messages, K=4, multi-slot connections, as bench_fig4 builds
 ///     them);
-///   * for dynamic and preload TDM, one point of each robustness layer: A6
-///     bit errors plus link MTBF/repair, A7 lossy control with healing off
-///     and the recovery-mode auditor, A9 open-loop overload into bounded
-///     drop-oldest VOQs, A10 online re-optimization over a lossy channel
-///     with reliable releases;
+///   * for wormhole, dynamic and preload TDM, one point of each robustness
+///     layer: A6 bit errors plus link MTBF/repair, A7 lossy control with
+///     healing off and the recovery-mode auditor, A9 open-loop overload into
+///     bounded drop-oldest VOQs; for the two TDM paradigms also A10 online
+///     re-optimization over a lossy channel with reliable releases;
+///   * one wormhole point at N=130 (three 64-bit words, a 2-bit tail) with
+///     every robustness layer its arbiter reacts to at once: open-loop
+///     overload into drop-oldest VOQs, hard link faults, and lossy control
+///     with healing on;
 ///   * one Figure 5 hybrid point (K=3, one pinned slot, as bench_fig5 builds
 ///     it) and one A5 finite-receive-buffer point.
 inline std::vector<ParadigmScenario> paradigm_scenarios() {
@@ -91,8 +95,8 @@ inline std::vector<ParadigmScenario> paradigm_scenarios() {
     return c;
   };
   const auto mesh16 = [] { return patterns::random_mesh(16, 256, 2, 7); };
-  for (const SwitchKind kind :
-       {SwitchKind::kDynamicTdm, SwitchKind::kPreloadTdm}) {
+  for (const SwitchKind kind : {SwitchKind::kWormhole, SwitchKind::kDynamicTdm,
+                                SwitchKind::kPreloadTdm}) {
     const std::string tag = to_string(kind);
 
     RunConfig a6 = chaos_base(kind);
@@ -138,6 +142,9 @@ inline std::vector<ParadigmScenario> paradigm_scenarios() {
              return static_cast<std::uint64_t>(r.metrics.shed_messages);
            }}}});
 
+    if (kind == SwitchKind::kWormhole) {
+      continue;  // no slot table to re-optimize
+    }
     RunConfig a10 = chaos_base(kind);
     a10.params.reopt.period_slots = 16;
     a10.params.ctrl.seed = 0xA10BEEFu;
@@ -168,6 +175,44 @@ inline std::vector<ParadigmScenario> paradigm_scenarios() {
                    {{"ctrl_dropped",
                      [](const RunResult& r) { return r.metrics.ctrl_dropped; }},
                     reopt_fired}});
+  }
+
+  {
+    // Wormhole at N=130: the round-robin arbiters wrap across three words.
+    // Drop-oldest push-out empties VOQs from the shed path, dead links are
+    // skipped by the input arbiter, and lost arbitration requests are
+    // retried with backoff. Bit errors stay at zero.
+    constexpr std::size_t kNodes = 130;
+    RunConfig c = chaos_base(SwitchKind::kWormhole);
+    c.params.num_nodes = kNodes;
+    c.params.admission.capacity_bytes = 4096;
+    c.params.admission.policy = ShedPolicy::kDropOldest;
+    c.params.fault.link_mtbf = TimeNs{400'000};
+    c.params.fault.link_repair = TimeNs{4'000};
+    c.params.fault.max_link_faults = 8;
+    c.params.ctrl.seed = 0xC7A15EEDu;
+    c.params.ctrl.loss = 0.1;
+    out.push_back(
+        {"n130_overload_faults_ctrl_wormhole", c,
+         [] {
+           ArrivalParams arrival;
+           arrival.offered_load = 1.5;
+           arrival.mean_msg_bytes = 256;
+           arrival.duration = TimeNs{10'000};
+           arrival.seed = 0x0E710ADEu;
+           return open_loop(kNodes, arrival, line_rate());
+         },
+         {{"shed_messages",
+           [](const RunResult& r) {
+             return static_cast<std::uint64_t>(r.metrics.shed_messages);
+           }},
+          {"link_faults",
+           [](const RunResult& r) {
+             return static_cast<std::uint64_t>(r.metrics.link_faults);
+           }},
+          {"ctrl_rerequests", [](const RunResult& r) {
+             return r.counter("ctrl_rerequests");
+           }}}});
   }
 
   {

@@ -58,8 +58,8 @@ hatch and one fingerprint-baseline format (tools/pmx_lexer.py). The passes:
    (the word-parallel scheduler pass), ``TdmScheduler::advance_slot`` (the
    TDM counter), the word loops of the request audit
    (``audit_requests_fast``) and of the slot-invariant audit
-   (``scan_slot``, ``union_matches``), the EventQueue heap ops, and the VOQ
-   drain path.
+   (``scan_slot``, ``union_matches``), the EventQueue heap ops, the VOQ
+   drain path, and ``rr_pick`` (the wormhole arbiters' round-robin pick).
 
 5. Line-local hygiene (the lint rules, LINT_RULES):
 
