@@ -7,8 +7,10 @@
 // estimate (the paper's "about 5x better", anchored at 80 ns for 128x128),
 // and (c) software micro-timings of the SL array pass as a sanity check
 // that the combinational work indeed scales ~N^2 with an O(N) critical
-// path: the word-parallel pass the simulator runs, and the gate-accurate
-// cell-by-cell reference pass on the same inputs.
+// path: the word-parallel pass the scheduler runs (preschedule_into into a
+// reused matrix, then sl_array_pass_fast on a reused workspace), and the
+// gate-accurate cell-by-cell reference (preschedule_ref, then
+// sl_array_pass_ref) on the same inputs.
 
 #include <chrono>
 #include <iostream>
@@ -27,7 +29,9 @@ namespace {
 
 /// Best-of-3 wall time for one full SL pass (preschedule + wavefront) on a
 /// random half-loaded request state; `ref` times the cell-by-cell reference
-/// pass instead of the word-parallel one.
+/// pass instead of the word-parallel one. The word-parallel pass reuses its
+/// L matrix and workspace and takes the slot's AI/AO occupancy precomputed,
+/// as TdmScheduler::run_pass does.
 double sw_pass_us(std::size_t n, bool ref) {
   pmx::Rng rng(n);
   pmx::BitMatrix config(n);
@@ -43,17 +47,26 @@ double sw_pass_us(std::size_t n, bool ref) {
       }
     }
   }
+  const pmx::BitVector ai = config.row_or();
+  const pmx::BitVector ao = config.col_or();
+  pmx::BitMatrix l(n);
+  pmx::SlPassWorkspace ws(n);
   double best = 1e18;
   for (int rep = 0; rep < 3; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
     constexpr int kIters = 50;
     std::size_t sink = 0;
     for (int i = 0; i < kIters; ++i) {
-      const pmx::BitMatrix l = pmx::preschedule(requests, config, config);
       const std::size_t start = static_cast<std::size_t>(i) % n;
-      const auto pass = ref ? pmx::sl_array_pass_ref(l, config, start, start)
-                            : pmx::sl_array_pass(l, config, start, start);
-      sink += pass.establishes;
+      if (ref) {
+        const pmx::BitMatrix l_ref =
+            pmx::preschedule_ref(requests, config, config);
+        sink += pmx::sl_array_pass_ref(l_ref, config, start, start).establishes;
+      } else {
+        pmx::preschedule_into(requests, config, config, l);
+        sink += pmx::sl_array_pass_fast(l, config, ai, ao, start, start, ws)
+                    .establishes;
+      }
     }
     const auto t1 = std::chrono::steady_clock::now();
     const double us =

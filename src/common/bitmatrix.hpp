@@ -33,6 +33,19 @@ class BitMatrix {
 
   [[nodiscard]] const BitVector& row(std::size_t u) const { return rows_[u]; }
   void set_row(std::size_t u, const BitVector& r);
+  /// Overwrite row u in place, a word at a time: word w of the row becomes
+  /// fn(w) for every w, and the bits past size() in the last word are
+  /// cleared. The row keeps its size and can hold no bit past N, and no
+  /// word keeps a value from before the call.
+  template <typename Fn>
+  void write_row(std::size_t u, Fn&& fn) {
+    PMX_CHECK(u < n_, "BitMatrix::write_row row out of range");
+    BitVector& row = rows_[u];
+    for (std::size_t w = 0; w < row.words_.size(); ++w) {
+      row.words_[w] = fn(w);
+    }
+    row.trim_tail();
+  }
   /// XOR `r` into row u word-wise -- applies a whole row of an SL toggle
   /// matrix in one bit-parallel pass.
   void row_xor(std::size_t u, const BitVector& r);
@@ -61,9 +74,15 @@ class BitMatrix {
 
   /// Bit-wise OR (the paper's B* = B^(0) + ... + B^(K-1)).
   BitMatrix& operator|=(const BitMatrix& rhs);
-  friend BitMatrix operator|(BitMatrix a, const BitMatrix& b) { return a |= b; }
+  friend BitMatrix operator|(BitMatrix a, const BitMatrix& b) {
+    a |= b;
+    return a;
+  }
   BitMatrix& operator&=(const BitMatrix& rhs);
-  friend BitMatrix operator&(BitMatrix a, const BitMatrix& b) { return a &= b; }
+  friend BitMatrix operator&(BitMatrix a, const BitMatrix& b) {
+    a &= b;
+    return a;
+  }
 
   bool operator==(const BitMatrix& rhs) const = default;
 

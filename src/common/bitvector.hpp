@@ -93,9 +93,20 @@ class BitVector {
   BitVector& operator|=(const BitVector& rhs);
   BitVector& operator&=(const BitVector& rhs);
   BitVector& operator^=(const BitVector& rhs);
-  friend BitVector operator|(BitVector a, const BitVector& b) { return a |= b; }
-  friend BitVector operator&(BitVector a, const BitVector& b) { return a &= b; }
-  friend BitVector operator^(BitVector a, const BitVector& b) { return a ^= b; }
+  // `a op= b` is an lvalue: returning it would copy the result out, so the
+  // by-value parameter is returned by name and moved.
+  friend BitVector operator|(BitVector a, const BitVector& b) {
+    a |= b;
+    return a;
+  }
+  friend BitVector operator&(BitVector a, const BitVector& b) {
+    a &= b;
+    return a;
+  }
+  friend BitVector operator^(BitVector a, const BitVector& b) {
+    a ^= b;
+    return a;
+  }
 
   bool operator==(const BitVector& rhs) const = default;
 
@@ -108,6 +119,8 @@ class BitVector {
   }
 
  private:
+  friend class BitMatrix;  // BitMatrix::write_row fills rows word by word
+
   void trim_tail();
 
   std::size_t size_ = 0;

@@ -1,6 +1,6 @@
 #include "sched/presched.hpp"
 
-#include <bit>
+#include <cstdint>
 
 #include "common/assert.hpp"
 
@@ -13,27 +13,37 @@ bool preschedule_cell(bool r, bool b_star, bool b_s) {
   return !b_star;  // establish if not realized anywhere
 }
 
-BitMatrix preschedule(const BitMatrix& requests, const BitMatrix& established,
-                      const BitMatrix& slot_config) {
+// pmx-hot
+void preschedule_into(const BitMatrix& requests, const BitMatrix& established,
+                      const BitMatrix& slot_config, BitMatrix& out) {
+  const std::size_t n = requests.size();
+  PMX_CHECK(established.size() == n && slot_config.size() == n &&
+                out.size() == n,
+            "preschedule matrix size mismatch");
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto r = requests.row(u).words();
+    const auto bstar = established.row(u).words();
+    const auto bs = slot_config.row(u).words();
+    out.write_row(u, [&](std::size_t w) -> std::uint64_t {
+      return (~r[w] & bs[w]) | (r[w] & ~bstar[w]);
+    });
+  }
+}
+
+BitMatrix preschedule_ref(const BitMatrix& requests,
+                          const BitMatrix& established,
+                          const BitMatrix& slot_config) {
   const std::size_t n = requests.size();
   PMX_CHECK(established.size() == n && slot_config.size() == n,
             "preschedule matrix size mismatch");
   BitMatrix l(n);
-  // Word-parallel form of the truth table: L = (~R & B(s)) | (R & ~B*).
-  BitVector row(n);
   for (std::size_t u = 0; u < n; ++u) {
-    const auto r = requests.row(u).words();
-    const auto bs = slot_config.row(u).words();
-    const auto bstar = established.row(u).words();
-    for (std::size_t w = 0; w < r.size(); ++w) {
-      const std::uint64_t word = (~r[w] & bs[w]) | (r[w] & ~bstar[w]);
-      for (std::uint64_t bits = word; bits != 0; bits &= bits - 1) {
-        row.set((w << 6) +
-                static_cast<std::size_t>(std::countr_zero(bits)));
+    for (std::size_t v = 0; v < n; ++v) {
+      if (preschedule_cell(requests.get(u, v), established.get(u, v),
+                           slot_config.get(u, v))) {
+        l.set(u, v);
       }
     }
-    l.set_row(u, row);
-    row.reset();
   }
   return l;
 }

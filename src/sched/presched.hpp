@@ -21,9 +21,19 @@ namespace pmx {
 ///   R=1, B*=1            -> L=0   already realized in some slot
 ///   R=1, B*=0, B(s)=0    -> L=1   establish in this slot
 /// (R=1, B*=0, B(s)=1 cannot occur because B(s) is a subset of B*.)
-[[nodiscard]] BitMatrix preschedule(const BitMatrix& requests,
-                                    const BitMatrix& established,
-                                    const BitMatrix& slot_config);
+///
+/// This is the word-parallel form the scheduler runs: it writes every word
+/// of `out` as (~R & B(s)) | (R & ~B*), so nothing `out` held before the
+/// call survives, and allocates nothing. All four matrices must be n x n.
+void preschedule_into(const BitMatrix& requests, const BitMatrix& established,
+                      const BitMatrix& slot_config, BitMatrix& out);
+
+/// Reference oracle: L built one cell at a time through preschedule_cell,
+/// kept for the differential tests and as executable documentation of
+/// Table 1.
+[[nodiscard]] BitMatrix preschedule_ref(const BitMatrix& requests,
+                                        const BitMatrix& established,
+                                        const BitMatrix& slot_config);
 
 /// Single-cell version, exposed so tests can exercise each Table-1 row.
 [[nodiscard]] bool preschedule_cell(bool r, bool b_star, bool b_s);

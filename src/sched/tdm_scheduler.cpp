@@ -1,5 +1,6 @@
 #include "sched/tdm_scheduler.hpp"
 
+#include <bit>
 #include <cstdint>
 
 #include "common/assert.hpp"
@@ -152,6 +153,8 @@ TdmScheduler::TdmScheduler(const Options& options)
       b_star_(n_),
       zero_(n_),
       pass_ws_(n_),
+      r_eff_(n_),
+      l_(n_),
       slot_clean_(k_, false) {
   PMX_CHECK(n_ >= 2, "scheduler needs at least two ports");
   PMX_CHECK(k_ >= 1, "scheduler needs at least one slot");
@@ -159,6 +162,9 @@ TdmScheduler::TdmScheduler(const Options& options)
   for (std::size_t u = 0; u < n_; ++u) {
     usable_.set_row(u, ones);
   }
+  // A pass changes B* by at most one establish and one release per row.
+  result_.established_pairs.reserve(n_);
+  result_.released_pairs.reserve(n_);
 }
 
 void TdmScheduler::set_request(std::size_t u, std::size_t v, bool value) {
@@ -173,21 +179,20 @@ void TdmScheduler::mark_all_dirty() {
   std::fill(slot_clean_.begin(), slot_clean_.end(), false);
 }
 
+// pmx-hot
 void TdmScheduler::apply_toggles(std::size_t s, const BitMatrix& toggles) {
   BitMatrix& config = slots_[s];
-  BitVector col_flip(n_);
   for (std::size_t u = 0; u < n_; ++u) {
     const BitVector& row = toggles.row(u);
     if (row.none()) {
       continue;
     }
     config.row_xor(u, row);
-    col_flip ^= row;
+    slot_ao_[s] ^= row;
     if (row.count() % 2 == 1) {
       slot_ai_[s].flip(u);
     }
   }
-  slot_ao_[s] ^= col_flip;
 }
 
 void TdmScheduler::rebuild_slot_occupancy(std::size_t s) {
@@ -240,27 +245,20 @@ void TdmScheduler::flush_dynamic() {
   ++stats_.flushes;
 }
 
-BitMatrix TdmScheduler::effective_requests() const {
-  BitMatrix r_eff = requests_ | holds_;
-  if (!any_fault_ && !any_stuck_) {
-    return r_eff;
-  }
-  const BitVector empty_row(n_);
+// pmx-hot
+void TdmScheduler::load_effective_requests() {
+  // up_cols_ and usable_ are all ones until a port dies or a cell sticks,
+  // so the masks apply unconditionally.
+  const auto up = up_cols_.words();
   for (std::size_t u = 0; u < n_; ++u) {
-    if (any_fault_ && down_ports_.get(u)) {
-      r_eff.set_row(u, empty_row);
-      continue;
-    }
-    BitVector row = r_eff.row(u);
-    if (any_fault_) {
-      row &= up_cols_;
-    }
-    if (any_stuck_) {
-      row &= usable_.row(u);
-    }
-    r_eff.set_row(u, row);
+    const auto r = requests_.row(u).words();
+    const auto h = holds_.row(u).words();
+    const auto ok = usable_.row(u).words();
+    const std::uint64_t live = down_ports_.get(u) ? 0 : ~std::uint64_t{0};
+    r_eff_.write_row(u, [&](std::size_t w) -> std::uint64_t {
+      return (r[w] | h[w]) & up[w] & ok[w] & live;
+    });
   }
-  return r_eff;
 }
 
 void TdmScheduler::force_clear(
@@ -294,7 +292,6 @@ std::vector<std::pair<std::size_t, std::size_t>> TdmScheduler::set_port_fault(
   }
   down_ports_.set(port, down);
   up_cols_.set(port, !down);
-  any_fault_ = down_ports_.any();
   if (down) {
     // Force-release every established connection whose input or output
     // port just died -- reusing the flush machinery's bookkeeping so the
@@ -316,7 +313,6 @@ std::vector<std::pair<std::size_t, std::size_t>> TdmScheduler::set_port_fault(
 bool TdmScheduler::set_stuck_cell(std::size_t u, std::size_t v) {
   PMX_CHECK(u < n_ && v < n_ && u != v, "invalid stuck cell");
   usable_.set(u, v, false);
-  any_stuck_ = true;
   bool released = false;
   if (b_star_.get(u, v)) {
     force_clear(u, v, nullptr);
@@ -338,14 +334,19 @@ std::optional<std::size_t> TdmScheduler::next_unpinned_slot() {
   return std::nullopt;
 }
 
-TdmScheduler::PassResult TdmScheduler::run_pass() {
-  PassResult result;
-  const auto slot = next_unpinned_slot();
-  if (!slot) {
+// pmx-hot
+const TdmScheduler::PassResult& TdmScheduler::run_pass() {
+  PassResult& result = result_;
+  result.slot = next_unpinned_slot();
+  result.establishes = 0;
+  result.releases = 0;
+  result.blocked = 0;
+  result.established_pairs.clear();
+  result.released_pairs.clear();
+  if (!result.slot) {
     return result;  // every slot is pinned: nothing to schedule dynamically
   }
-  const std::size_t s = *slot;
-  result.slot = s;
+  const std::size_t s = *result.slot;
 
   if (slot_clean_[s]) {
     // Provably quiescent: the hardware pass would produce an all-zero T.
@@ -353,64 +354,53 @@ TdmScheduler::PassResult TdmScheduler::run_pass() {
     return result;
   }
 
-  const BitMatrix r_eff = effective_requests();
-  const BitMatrix l = preschedule(r_eff, b_star_, slots_[s]);
+  load_effective_requests();
+  preschedule_into(r_eff_, b_star_, slots_[s], l_);
   const std::size_t origin = priority_origin_;
 
-  const BitMatrix b_star_before = b_star_;
-
   bool touched = false;
-  if (l.any()) {
+  if (l_.any()) {
     const SlPassResult& pass = sl_array_pass_fast(
-        l, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin, pass_ws_);
+        l_, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin, pass_ws_);
     apply_toggles(s, pass.toggles);
     result.establishes = pass.establishes;
     result.releases = pass.releases;
     result.blocked = pass.blocked;
-    touched = pass.toggles.any();
+    touched = pass.establishes + pass.releases != 0;
   }
 
   if (multi_slot_) {
     // Extension 2: replicate already-established, still-requested
-    // connections into this slot's idle ports for extra bandwidth.
-    BitMatrix l2 = r_eff;
-    l2 &= b_star_;
+    // connections into this slot's idle ports for extra bandwidth. L2 =
+    // R_eff & B* & ~B(s) overwrites L; B* is still the union from before
+    // the pass, B(s) includes the first pass's toggles.
     for (std::size_t u = 0; u < n_; ++u) {
-      BitVector row = l2.row(u);
-      row.and_not(slots_[s].row(u));
-      l2.set_row(u, row);
+      const auto r = r_eff_.row(u).words();
+      const auto bstar = b_star_.row(u).words();
+      const auto bs = slots_[s].row(u).words();
+      l_.write_row(u, [&](std::size_t w) -> std::uint64_t {
+        return r[w] & bstar[w] & ~bs[w];
+      });
     }
-    if (l2.any()) {
+    if (l_.any()) {
       const SlPassResult& dup = sl_array_pass_fast(
-          l2, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin, pass_ws_);
+          l_, slots_[s], slot_ai_[s], slot_ao_[s], origin, origin, pass_ws_);
       apply_toggles(s, dup.toggles);
       result.establishes += dup.establishes;
-      touched = touched || dup.toggles.any();
+      touched = touched || dup.establishes != 0;
       PMX_CHECK(dup.releases == 0, "duplication pass cannot release");
     }
   }
 
   if (touched) {
-    PMX_CHECK(slots_[s].is_partial_permutation(),
+    PMX_CHECK(!scan_slot(slots_[s], slot_ai_[s], slot_ao_[s]).double_alloc,
               "SL pass corrupted slot configuration");
-    rebuild_b_star();
-    // B* feeds every slot's pre-scheduling logic.
+    // B* feeds every slot's pre-scheduling logic. Its changes are the
+    // network-level membership changes the predictor is told about.
+    rebuild_b_star(&result);
     mark_all_dirty();
   } else {
     slot_clean_[s] = true;
-  }
-
-  // Report network-level (B*) membership changes for the predictor.
-  for (std::size_t u = 0; u < n_; ++u) {
-    const BitVector delta = b_star_before.row(u) ^ b_star_.row(u);
-    for (std::size_t v = delta.find_first(); v < n_;
-         v = delta.find_next(v + 1)) {
-      if (b_star_.get(u, v)) {
-        result.established_pairs.emplace_back(u, v);
-      } else {
-        result.released_pairs.emplace_back(u, v);
-      }
-    }
   }
 
   priority_origin_ = (priority_origin_ + 1) % n_;
@@ -481,10 +471,31 @@ std::vector<std::size_t> TdmScheduler::slots_of(std::size_t u,
   return result;
 }
 
-void TdmScheduler::rebuild_b_star() {
-  b_star_.reset();
-  for (const auto& slot : slots_) {
-    b_star_ |= slot;
+// pmx-hot
+void TdmScheduler::rebuild_b_star(PassResult* changes) {
+  for (std::size_t u = 0; u < n_; ++u) {
+    const auto before = b_star_.row(u).words();
+    b_star_.write_row(u, [&](std::size_t w) -> std::uint64_t {
+      std::uint64_t all = 0;
+      for (const BitMatrix& slot : slots_) {
+        all |= slot.row(u).words()[w];
+      }
+      // write_row stores word w after this returns, so before[w] is still
+      // the old B* word here.
+      if (changes != nullptr) {
+        for (std::uint64_t flips = all ^ before[w]; flips != 0;
+             flips &= flips - 1) {
+          const int bit = std::countr_zero(flips);
+          const std::size_t v = (w << 6) + static_cast<std::size_t>(bit);
+          if (((all >> bit) & 1U) != 0) {
+            changes->established_pairs.emplace_back(u, v);
+          } else {
+            changes->released_pairs.emplace_back(u, v);
+          }
+        }
+      }
+      return all;
+    });
   }
 }
 

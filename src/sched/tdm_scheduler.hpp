@@ -37,7 +37,10 @@ void audit_invariants_ref(const SlotAuditInput& in,
 
 /// Aggregate counters maintained by the scheduler.
 struct SchedulerStats {
-  std::uint64_t passes = 0;         ///< SL-array evaluations
+  /// SL-array evaluations. A pass elided by the quiescence memo returns
+  /// before this count (see passes_elided), and so does a pass that finds
+  /// every slot pinned: neither is counted here.
+  std::uint64_t passes = 0;
   std::uint64_t establishes = 0;    ///< connections inserted
   std::uint64_t releases = 0;       ///< connections removed
   std::uint64_t blocked = 0;        ///< change requests that found no ports
@@ -172,7 +175,10 @@ class TdmScheduler {
     std::vector<std::pair<std::size_t, std::size_t>> released_pairs;
   };
   /// Run one SL-array pass against the next unpinned slot (round robin).
-  PassResult run_pass();
+  /// The result lives in the scheduler, like SlPassWorkspace::result: it is
+  /// valid until the next pass, which overwrites it. A pass allocates
+  /// nothing.
+  const PassResult& run_pass();
 
   // --- TDM rotation (time-slot clock edge) --------------------------------
   /// Advance the TDM counter to the next non-empty slot (with
@@ -219,7 +225,10 @@ class TdmScheduler {
   }
 
  private:
-  void rebuild_b_star();
+  /// B* = the union of the slots, rebuilt a word at a time. With `changes`,
+  /// each entry that flips is appended, in row-major order, to its
+  /// established_pairs (0 -> 1) or released_pairs (1 -> 0).
+  void rebuild_b_star(PassResult* changes = nullptr);
   /// Flip the toggled entries of slot `s` word-wise and update its cached
   /// AI/AO occupancy vectors incrementally (XOR parity: in a partial
   /// permutation every row/column holds 0 or 1 connections, so a row or
@@ -229,9 +238,10 @@ class TdmScheduler {
   /// Recompute slot `s`'s cached AI/AO from scratch (preload/unload paths).
   void rebuild_slot_occupancy(std::size_t s);
   [[nodiscard]] std::optional<std::size_t> next_unpinned_slot();
-  /// Effective request matrix for a scheduling pass: (R | holds) with dead
-  /// ports and stuck cells masked out.
-  [[nodiscard]] BitMatrix effective_requests() const;
+  /// Write the effective request matrix of a scheduling pass into r_eff_:
+  /// (R | holds) with the rows and columns of dead ports and the stuck
+  /// cells masked out.
+  void load_effective_requests();
   /// Clear (u, v) from every slot; appends the pair to `released` when it
   /// was established. Caller rebuilds B* and marks dirty.
   void force_clear(std::size_t u, std::size_t v,
@@ -247,8 +257,6 @@ class TdmScheduler {
   BitVector down_ports_;  ///< ports whose link is currently dead
   BitVector up_cols_;     ///< complement of down_ports_ (column mask)
   BitMatrix usable_;      ///< all-ones minus stuck SL cells
-  bool any_fault_ = false;
-  bool any_stuck_ = false;
   std::vector<BitMatrix> slots_;
   /// Cached per-slot occupancy reductions, maintained incrementally:
   /// slot_ai_[s] == slots_[s].row_or() and slot_ao_[s] == slots_[s].col_or()
@@ -258,8 +266,14 @@ class TdmScheduler {
   std::vector<bool> pinned_;
   BitMatrix b_star_;
   BitMatrix zero_;
-  /// Reused storage of every SL pass.
+  /// Storage of every scheduling pass, sized at construction and
+  /// overwritten by each pass: the SL array's workspace, R_eff, L (which the
+  /// multi-slot pass reuses for its L2), and the returned result, whose pair
+  /// lists hold their worst case of N each.
   SlPassWorkspace pass_ws_;
+  BitMatrix r_eff_;
+  BitMatrix l_;
+  PassResult result_;
 
   /// Quiescence memo: slot_clean_[s] means the last pass on s produced no
   /// toggles and no request/hold/configuration input has changed since, so

@@ -241,7 +241,8 @@ void TdmNetwork::on_sl_tick() {
   // scheduled per SL clock; the sequential emulation is conservative (the
   // later unit sees the earlier unit's insertions in B*, so no conflicts).
   for (std::size_t unit = 0; unit < sl_units_; ++unit) {
-    const auto pass = sched_.run_pass();
+    // The result is the scheduler's, valid until its next pass.
+    const auto& pass = sched_.run_pass();
     for (const auto& [u, v] : pass.established_pairs) {
       predictor_->on_establish(Conn{u, v}, sim_.now());
       if (plane_) {

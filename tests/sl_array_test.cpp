@@ -199,7 +199,7 @@ TEST_P(SlArrayPropertyTest, PassPreservesInvariants) {
       }
     }
   }
-  const BitMatrix l = preschedule(requests, config, config);
+  const BitMatrix l = preschedule_ref(requests, config, config);
   const std::size_t origin = static_cast<std::size_t>(rng.below(n));
   const auto pass = sl_array_pass(l, config, origin, origin);
   const BitMatrix next = apply(config, pass);
@@ -252,7 +252,7 @@ TEST(SlArray, WorkConservingOnEmptySlot) {
         }
       }
     }
-    const BitMatrix l = preschedule(requests, empty, empty);
+    const BitMatrix l = preschedule_ref(requests, empty, empty);
     const auto pass = sl_array_pass(l, empty, 0, 0);
     const BitMatrix next = apply(empty, pass);
     for (std::size_t u = 0; u < n; ++u) {

@@ -54,10 +54,14 @@ hatch and one fingerprint-baseline format (tools/pmx_lexer.py). The passes:
    types: ``(a & b).any()`` or ``auto c = a ^ b`` on bitsets builds a
    temporary through an operator and passes unflagged -- the pattern
    ``TdmScheduler::advance_slot`` used before it took
-   ``BitMatrix::intersects``. Annotated kernels: ``sl_array_pass_fast``
-   (the word-parallel scheduler pass), ``TdmScheduler::advance_slot`` (the
-   TDM counter), the word loops of the request audit
-   (``audit_requests_fast``) and of the slot-invariant audit
+   ``BitMatrix::intersects``; the pmx_alloc_tests executable counts the
+   scheduler pass's allocations at run time for that reason. Annotated
+   kernels: ``sl_array_pass_fast`` (the word-parallel scheduler pass),
+   ``TdmScheduler::run_pass`` (one SL clock) with the helpers it calls
+   (``load_effective_requests``, ``apply_toggles``, ``rebuild_b_star``)
+   and ``preschedule_into`` (Table 1 a word at a time),
+   ``TdmScheduler::advance_slot`` (the TDM counter), the word loops of the
+   request audit (``audit_requests_fast``) and of the slot-invariant audit
    (``scan_slot``, ``union_matches``), the EventQueue heap ops, the VOQ
    drain path, and ``rr_pick`` (the wormhole arbiters' round-robin pick).
 
