@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/assert.hpp"
 
@@ -9,68 +8,97 @@ namespace pmx {
 
 // pmx-hot
 EventId EventQueue::push(TimeNs t, EventFn fn) {
-  const EventId id = next_id_++;
-  heap_.push_back(Entry{t, id, std::move(fn)});
+  PMX_CHECK(next_seq_ < kSeqLimit, "EventQueue push sequence exhausted");
+  std::uint64_t cell = cells_.size();
+  if (free_.empty()) {
+    PMX_CHECK(cell <= kCellMask, "EventQueue is out of cells (2^24 pending)");
+    cells_.push_back(Cell{0, fn});
+  } else {
+    cell = free_.back();
+    free_.pop_back();
+    cells_[cell].fn = fn;
+  }
+  const EventId id = (next_seq_++ << kCellBits) | cell;
+  cells_[cell].id = id;
+  ++live_;
+  heap_.push_back(Key{t, id});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
 void EventQueue::cancel(EventId id) {
-  if (id == 0 || id >= next_id_) {
-    return;  // never issued: nothing to tombstone
+  const std::uint64_t cell = id & kCellMask;
+  if (id == 0 || cell >= cells_.size() || cells_[cell].id != id) {
+    return;  // fired, cancelled or never issued: nothing is pending
   }
-  cancelled_.insert(id);
+  cells_[cell].id = 0;
+  free_.push_back(static_cast<std::uint32_t>(cell));
+  --live_;
   compact();
 }
 
 void EventQueue::compact() {
-  // Tombstones come in two kinds: entries still buried in the heap (dead
-  // weight on every sift) and ids that were cancelled after firing (match
-  // nothing, would linger forever). Once the set outgrows half the heap,
-  // erase the dead entries in one pass, rebuild the heap, and drop the
-  // whole set -- every remaining tombstone matched a removed entry or was
-  // already stale, and ids are never reused.
-  if (cancelled_.size() <= 64 || cancelled_.size() * 2 <= heap_.size()) {
+  // A cancelled event's key stays in the heap, dead weight on every sift,
+  // until it surfaces. Once dead keys outnumber half the heap, erase them
+  // in one pass and rebuild the heap.
+  const std::size_t dead = tombstones();
+  if (dead <= 64 || dead * 2 <= heap_.size()) {
     return;
   }
-  std::erase_if(heap_,
-                [this](const Entry& e) { return cancelled_.contains(e.id); });
+  std::erase_if(heap_, [this](const Key& k) { return !live(k); });
   std::make_heap(heap_.begin(), heap_.end(), Later{});
-  cancelled_.clear();
 }
 
 // pmx-hot
-void EventQueue::drop_cancelled() {
-  while (!heap_.empty()) {
-    const auto it = cancelled_.find(heap_.front().id);
-    if (it == cancelled_.end()) {
-      return;
-    }
-    cancelled_.erase(it);
+void EventQueue::drop_dead() {
+  if (heap_.size() == live_) {
+    return;  // no dead key anywhere: the top is live
+  }
+  while (!heap_.empty() && !live(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
 }
 
+// pmx-hot
+EventQueue::Fired EventQueue::take_top() {
+  const Key top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  // Copy the callback out before it runs: it may push, and a push can grow
+  // the slab under a reference into it.
+  const std::uint64_t cell = top.id & kCellMask;
+  Fired fired{top.time, cells_[cell].fn};
+  cells_[cell].id = 0;
+  free_.push_back(static_cast<std::uint32_t>(cell));
+  --live_;
+  return fired;
+}
+
 bool EventQueue::empty() {
-  drop_cancelled();
+  drop_dead();
   return heap_.empty();
 }
 
 TimeNs EventQueue::next_time() {
-  drop_cancelled();
+  drop_dead();
   PMX_CHECK(!heap_.empty(), "next_time on empty EventQueue");
   return heap_.front().time;
 }
 
-// pmx-hot
 EventQueue::Fired EventQueue::pop() {
-  drop_cancelled();
+  drop_dead();
   PMX_CHECK(!heap_.empty(), "pop on empty EventQueue");
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Fired fired{heap_.back().time, std::move(heap_.back().fn)};
-  heap_.pop_back();
-  return fired;
+  return take_top();
+}
+
+// pmx-hot
+std::optional<EventQueue::Fired> EventQueue::pop_until(TimeNs limit) {
+  drop_dead();
+  if (heap_.empty() || heap_.front().time > limit) {
+    return std::nullopt;
+  }
+  return take_top();
 }
 
 }  // namespace pmx

@@ -20,11 +20,14 @@ void Simulator::run() { run_until(TimeNs::never()); }
 
 void Simulator::run_until(TimeNs t) {
   stopped_ = false;
-  while (!stopped_ && !queue_.empty() && queue_.next_time() <= t) {
-    auto [time, fn] = queue_.pop();
-    now_ = time;
+  while (!stopped_) {
+    auto fired = queue_.pop_until(t);
+    if (!fired) {
+      break;
+    }
+    now_ = fired->time;
     ++processed_;
-    fn();
+    fired->fn();
   }
   if (!stopped_ && t != TimeNs::never() && now_ < t) {
     now_ = t;

@@ -8,14 +8,20 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
+#include <type_traits>
 
 #include "common/bitmatrix.hpp"
 #include "common/bitvector.hpp"
+#include "common/message.hpp"
 #include "sched/tdm_scheduler.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -163,6 +169,89 @@ TEST(AllocationCount, SteadyStateSchedulerPassesAllocateNothing) {
   EXPECT_GT(established, 0u);
   EXPECT_GT(released, 0u);
   EXPECT_GT(sched.stats().slot_advances - before.slot_advances, 0u);
+}
+
+/// Network::notify_delivered's event, rebuilt: the callback captures
+/// `this`, a Message, a TimeNs and a bool, 72 bytes.
+class DeliverySink {
+ public:
+  explicit DeliverySink(Simulator& sim) : sim_(sim) {}
+
+  EventId schedule(const Message& msg, TimeNs delay, bool corrupt) {
+    const TimeNs send_done = sim_.now();
+    const auto deliver = [this, msg, send_done, corrupt] {
+      arrive(msg, send_done, corrupt);
+    };
+    static_assert(sizeof(deliver) == EventFn::kCapacity);
+    return sim_.schedule_after(delay, deliver);
+  }
+
+  [[nodiscard]] std::uint64_t delivered_bytes() const {
+    return delivered_bytes_;
+  }
+
+ private:
+  void arrive(const Message& msg, TimeNs send_done, bool corrupt) {
+    if (!corrupt && sim_.now() >= send_done) {
+      delivered_bytes_ += msg.bytes;
+    }
+  }
+
+  Simulator& sim_;
+  std::uint64_t delivered_bytes_ = 0;
+};
+
+// The event core's steady state: every step pushes a 72-byte event and
+// runs the clock forward, and every third step also pushes a timeout that
+// it cancels while pending (the watchdog pattern), so dead keys pile up
+// and compaction sweeps them. A std::function keeps at most 16 bytes
+// inline, so with one as the callback every push here would allocate.
+TEST(EventQueueAlloc, SteadyStateEventsDoNotAllocate) {
+  // EventFn holds what it can keep inline without allocating, and nothing
+  // else: a capture past its 72 bytes, or one that owns memory (a
+  // std::function captured by value), does not convert.
+  const std::array<char, EventFn::kCapacity> fits{};
+  const auto at_capacity = [fits] { (void)fits; };
+  static_assert(sizeof(at_capacity) == EventFn::kCapacity);
+  static_assert(std::is_constructible_v<EventFn, decltype(at_capacity)>);
+  const std::array<char, EventFn::kCapacity + 1> spills{};
+  const auto oversized = [spills] { (void)spills; };
+  static_assert(sizeof(oversized) == EventFn::kCapacity + 1);
+  static_assert(!std::is_constructible_v<EventFn, decltype(oversized)>);
+  const std::function<void()> inner = [] {};
+  const auto owning = [inner] { inner(); };
+  static_assert(!std::is_constructible_v<EventFn, decltype(owning)>);
+
+  constexpr int kSteps = 100'000;
+  Simulator sim;
+  DeliverySink sink(sim);
+  Message msg;
+  msg.bytes = 256;
+  const auto step = [&](int i) {
+    msg.id = static_cast<MessageId>(i);
+    msg.src = static_cast<NodeId>(i % 128);
+    msg.dst = static_cast<NodeId>((i + 1) % 128);
+    sink.schedule(msg, TimeNs{i % 97}, i % 11 == 0);
+    if (i % 3 == 0) {
+      sim.cancel(sink.schedule(msg, TimeNs{5000}, false));
+    }
+    sim.run_until(sim.now() + TimeNs{10});
+  };
+  for (int i = 0; i < kSteps; ++i) {
+    step(i);  // warm-up: the slab, heap and free list reach their peak
+  }
+  const std::uint64_t bytes_before = sink.delivered_bytes();
+  const std::uint64_t events_before = sim.events_processed();
+  const std::uint64_t allocations = allocations_of([&] {
+    for (int i = 0; i < kSteps; ++i) {
+      step(i);
+    }
+  });
+  EXPECT_EQ(allocations, 0u) << "over " << kSteps << " push/pop/cancel steps";
+  // The steps ran events: one delivery per step, none of the timeouts.
+  EXPECT_GT(sink.delivered_bytes() - bytes_before, 0u);
+  EXPECT_GE(sim.events_processed() - events_before,
+            static_cast<std::uint64_t>(kSteps) - 100);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Churn regression for the event queue: heavy interleavings of push, cancel
 // (before and after firing), and pop must preserve time order, FIFO order of
-// ties, and lazy-cancel semantics -- and the tombstone set must not grow
-// without bound when ids are cancelled after their events already fired
-// (the NIC retransmit-timer pattern).
+// ties, and cancel semantics -- and cancelling ids after their events
+// already fired (the NIC retransmit-timer pattern) must leave nothing
+// behind in the queue.
 
 #include "sim/event_queue.hpp"
 

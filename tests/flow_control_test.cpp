@@ -72,10 +72,10 @@ TEST(FlowControl, OccupancyNeverExceedsBuffer) {
   std::function<void()> sample = [&] {
     EXPECT_LE(net.receiver_occupancy(7), 128u);
     if (!done) {
-      sim.schedule_after(100_ns, sample);
+      sim.schedule_after(100_ns, [&sample] { sample(); });
     }
   };
-  sim.schedule_after(50_ns, sample);
+  sim.schedule_after(50_ns, [&sample] { sample(); });
   sim.run_until(500_us);
   done = true;
   sim.run_until(501_us);
@@ -162,10 +162,10 @@ TEST(FlowControl, CreditsNeverUnderflowAtBoundaryBuffer) {
   std::function<void()> sample = [&] {
     ASSERT_LE(net.receiver_occupancy(7), payload);
     if (!done) {
-      sim.schedule_after(100_ns, sample);
+      sim.schedule_after(100_ns, [&sample] { sample(); });
     }
   };
-  sim.schedule_after(50_ns, sample);
+  sim.schedule_after(50_ns, [&sample] { sample(); });
   sim.run_until(10'000_us);
   done = true;
   sim.run_until(10'001_us);

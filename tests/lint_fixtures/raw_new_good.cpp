@@ -1,5 +1,5 @@
-// Fixture: smart pointers, deleted functions, and comments must not trip
-// raw-new.
+// Fixture: smart pointers, deleted functions, std::construct_at and comments
+// must not trip raw-new.
 #include <memory>
 #include <vector>
 
@@ -15,3 +15,4 @@ std::vector<int> pooled(int n) {
   // a new vector each call; "delete" appears only in this comment
   return std::vector<int>(static_cast<unsigned>(n));
 }
+Node* built(Node* storage) { return std::construct_at(storage); }

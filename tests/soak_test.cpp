@@ -54,9 +54,9 @@ TEST_P(TdmSoakTest, InvariantsHoldUnderRandomChurn) {
       ++submitted_count;
     }
     sim.schedule_after(TimeNs{static_cast<std::int64_t>(50 + rng.below(450))},
-                       inject);
+                       [&inject] { inject(); });
   };
-  sim.schedule_after(0_ns, inject);
+  sim.schedule_after(0_ns, [&inject] { inject(); });
 
   // Invariant sampler: every 10 slots.
   std::uint64_t samples = 0;
@@ -73,10 +73,10 @@ TEST_P(TdmSoakTest, InvariantsHoldUnderRandomChurn) {
     // Live multiplexing degree bounded by K.
     EXPECT_LE(sched.live_mux_degree(), params.mux_degree);
     if (sim.now() < 400'000_ns) {
-      sim.schedule_after(1_us, sample);
+      sim.schedule_after(1_us, [&sample] { sample(); });
     }
   };
-  sim.schedule_after(500_ns, sample);
+  sim.schedule_after(500_ns, [&sample] { sample(); });
 
   sim.run_until(600_us);
 
@@ -117,9 +117,9 @@ TEST(TdmSoak, PhasePredictorSurvivesChurn) {
       ++submitted;
     }
     sim.schedule_after(TimeNs{static_cast<std::int64_t>(100 + rng.below(200))},
-                       inject);
+                       [&inject] { inject(); });
   };
-  sim.schedule_after(0_ns, inject);
+  sim.schedule_after(0_ns, [&inject] { inject(); });
   sim.run_until(400_us);
   EXPECT_EQ(net.records().size(), submitted);
   // The working set flips between disjoint halves: the phase predictor
@@ -152,9 +152,9 @@ void bounded_churn_soak(Simulator& sim, NetT& net, std::uint64_t seed,
       net.try_submit(u, v, bytes);
     }
     sim.schedule_after(TimeNs{static_cast<std::int64_t>(50 + rng.below(450))},
-                       inject);
+                       [&inject] { inject(); });
   };
-  sim.schedule_after(0_ns, inject);
+  sim.schedule_after(0_ns, [&inject] { inject(); });
 
   std::uint64_t samples = 0;
   std::function<void()> sample = [&] {
@@ -168,10 +168,10 @@ void bounded_churn_soak(Simulator& sim, NetT& net, std::uint64_t seed,
     // Bounded occupancy: per-source budget plus one in-flight message.
     EXPECT_LE(in_network, nodes * (capacity_bytes + 512));
     if (sim.now() < 400'000_ns) {
-      sim.schedule_after(1_us, sample);
+      sim.schedule_after(1_us, [&sample] { sample(); });
     }
   };
-  sim.schedule_after(500_ns, sample);
+  sim.schedule_after(500_ns, [&sample] { sample(); });
 
   sim.run_until(600_us);
 

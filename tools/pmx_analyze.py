@@ -62,8 +62,11 @@ hatch and one fingerprint-baseline format (tools/pmx_lexer.py). The passes:
    and ``preschedule_into`` (Table 1 a word at a time),
    ``TdmScheduler::advance_slot`` (the TDM counter), the word loops of the
    request audit (``audit_requests_fast``) and of the slot-invariant audit
-   (``scan_slot``, ``union_matches``), the EventQueue heap ops, the VOQ
-   drain path, and ``rr_pick`` (the wormhole arbiters' round-robin pick).
+   (``scan_slot``, ``union_matches``), the EventQueue's push and pop
+   (``push``, ``drop_dead``, ``take_top``, ``pop_until``, over a heap,
+   slab and free list reserved at construction; pmx_alloc_tests counts
+   their allocations at run time too), the VOQ drain path, and ``rr_pick``
+   (the wormhole arbiters' round-robin pick).
 
 5. Line-local hygiene (the lint rules, LINT_RULES):
 

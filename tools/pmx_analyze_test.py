@@ -86,7 +86,7 @@ class RuleFixtures(unittest.TestCase):
                          "float-accum", 2)
 
     def test_raw_new(self):
-        self.assert_rule("raw_new_bad.cpp", "raw_new_good.cpp", "raw-new", 4)
+        self.assert_rule("raw_new_bad.cpp", "raw_new_good.cpp", "raw-new", 5)
 
     def test_include_guard(self):
         self.assert_rule("include_guard_bad.hpp", "include_guard_good.hpp",
@@ -286,7 +286,7 @@ class BaselineMode(unittest.TestCase):
                                    "--write-baseline", str(baseline)])
             self.assertEqual(rc, 0)
             payload = json.loads(baseline.read_text())
-            self.assertEqual(len(payload["findings"]), 4)
+            self.assertEqual(len(payload["findings"]), 5)
             for entry in payload["findings"]:
                 entry["justification"] = "fixture debt, acknowledged"
             baseline.write_text(json.dumps(payload))
