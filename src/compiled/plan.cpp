@@ -1,6 +1,7 @@
 #include "compiled/plan.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/assert.hpp"
 
@@ -13,11 +14,6 @@ std::uint64_t pair_key(NodeId src, NodeId dst) {
 }
 
 }  // namespace
-
-std::size_t PhasePlan::config_of(NodeId src, NodeId dst) const {
-  const auto it = pair_to_config.find(pair_key(src, dst));
-  return it != pair_to_config.end() ? it->second : kNoConfig;
-}
 
 std::size_t CompiledPlan::max_degree() const {
   std::size_t degree = 0;
@@ -65,6 +61,7 @@ PhaseTraffic gather(const Workload& workload) {
 /// Assemble PhasePlans from a per-phase decomposition callback.
 template <typename DecomposeFn>
 CompiledPlan assemble(const Workload& workload, DecomposeFn&& decompose) {
+  const std::size_t n = workload.num_nodes();
   const PhaseTraffic traffic = gather(workload);
   CompiledPlan plan;
   plan.phases.resize(traffic.conns.size());
@@ -72,13 +69,18 @@ CompiledPlan assemble(const Workload& workload, DecomposeFn&& decompose) {
     PhasePlan& phase = plan.phases[p];
     const auto& conns = traffic.conns[p];
     const auto [configs, color_of] = decompose(conns);
+    PMX_CHECK(configs.size() < PhasePlan::kNoPair,
+              "phase needs more configurations than a 16-bit index holds");
     phase.configs = configs;
     phase.degree = configs.size();
     phase.config_bytes.assign(phase.configs.size(), 0);
+    phase.num_nodes = n;
+    phase.pair_to_config.assign(n * n, PhasePlan::kNoPair);
     for (std::size_t e = 0; e < conns.size(); ++e) {
       const std::size_t color = color_of[e];
       const std::uint64_t key = pair_key(conns[e].src, conns[e].dst);
-      phase.pair_to_config.emplace(key, color);
+      phase.pair_to_config[conns[e].src * n + conns[e].dst] =
+          static_cast<std::uint16_t>(color);
       phase.config_bytes[color] += traffic.bytes[p].at(key);
     }
   }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitmatrix.hpp"
@@ -22,11 +21,23 @@ struct PhasePlan {
   /// Total payload bytes that will flow over each configuration.
   std::vector<std::uint64_t> config_bytes;
   /// Configuration index serving connection (u,v), or kNoConfig.
-  [[nodiscard]] std::size_t config_of(NodeId src, NodeId dst) const;
+  [[nodiscard]] std::size_t config_of(NodeId src, NodeId dst) const {
+    if (src >= num_nodes || dst >= num_nodes) {
+      return kNoConfig;
+    }
+    const std::uint16_t cfg = pair_to_config[src * num_nodes + dst];
+    return cfg != kNoPair ? cfg : kNoConfig;
+  }
 
   static constexpr std::size_t kNoConfig = static_cast<std::size_t>(-1);
+  /// pair_to_config's value for a pair outside the working set.
+  static constexpr std::uint16_t kNoPair = UINT16_MAX;
 
-  std::unordered_map<std::uint64_t, std::size_t> pair_to_config;
+  /// Configuration index of every pair, row-major over num_nodes x
+  /// num_nodes (the preloaded per-slot table of Section 3.1): kNoPair for a
+  /// pair outside W^(j).
+  std::vector<std::uint16_t> pair_to_config;
+  std::size_t num_nodes = 0;
   /// The phase's multiplexing requirement (max port degree of W^(j)).
   std::size_t degree = 0;
 };

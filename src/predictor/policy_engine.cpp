@@ -53,20 +53,63 @@ void PolicyEngine::push_key(const Conn& c, const FlowState& s,
                  });
 }
 
-void PolicyEngine::upsert(const Conn& c, TimeNs now, Event event) {
+void PolicyEngine::grow_index(NodeId port) {
+  ports_ = (port / 64 + 1) * 64;
+  index_.assign(ports_ * ports_, kAbsent);
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    index_slot(entries_[i].state.conn) = static_cast<std::uint32_t>(i);
+  }
+}
+
+std::uint32_t PolicyEngine::insert(const FlowState& s) {
+  const NodeId port = std::max(s.conn.src, s.conn.dst);
+  if (port >= ports_) {
+    grow_index(port);
+  }
+  PMX_CHECK(entries_.size() < kAbsent, "policy engine tracks too many pairs");
+  const auto i = static_cast<std::uint32_t>(entries_.size());
+  entries_.push_back(Entry{s});
+  index_slot(s.conn) = i;
+  return i;
+}
+
+void PolicyEngine::erase_at(std::uint32_t i) {
+  Entry& hole = entries_[i];
+  if (hole.held) {
+    --held_;
+  }
+  index_slot(hole.state.conn) = kAbsent;
+  if (i + 1 != entries_.size()) {
+    hole = entries_.back();
+    index_slot(hole.state.conn) = i;
+  }
+  entries_.pop_back();
+}
+
+void PolicyEngine::erase(const Conn& c) {
+  const std::uint32_t i = find(c);
+  if (i != kAbsent) {
+    erase_at(i);
+  }
+}
+
+// pmx-hot
+std::uint32_t PolicyEngine::upsert(const Conn& c, TimeNs now, Event event) {
   const EngineView v = view(now);
-  const auto [it, inserted] = entries_.try_emplace(c);
-  FlowState& s = it->second;
-  if (inserted) {
-    s.conn = c;
-    s.established = now;
-    s.last_use = now;
-    s.last_use_epoch = use_epoch_;
+  std::uint32_t i = find(c);
+  if (i == kAbsent) {
+    FlowState fresh;
+    fresh.conn = c;
+    fresh.established = now;
+    fresh.last_use = now;
+    fresh.last_use_epoch = use_epoch_;
+    i = insert(fresh);
   } else if (event == Event::kHold) {
     // Hold latches only guarantee the entry exists; an already-tracked
     // entry is left untouched so latching is rank-neutral.
-    return;
+    return i;
   }
+  FlowState& s = entries_[i].state;
   rank_->touch(s, v, event == Event::kUse);
   if (event == Event::kEstablish) {
     s.established = now;  // re-establish restarts deadline leases
@@ -78,6 +121,7 @@ void PolicyEngine::upsert(const Conn& c, TimeNs now, Event event) {
   }
   push_key(c, s, v);
   compact_if_oversized(v);
+  return i;
 }
 
 void PolicyEngine::on_establish(const Conn& c, TimeNs now) {
@@ -96,20 +140,23 @@ void PolicyEngine::on_use(const Conn& c, TimeNs now) {
 }
 
 void PolicyEngine::on_release(const Conn& c, TimeNs) {
-  entries_.erase(c);  // heap copies go stale; reaped at pop/compaction
-  held_.erase(c);
+  erase(c);  // heap copies go stale; reaped at pop/compaction
 }
 
 void PolicyEngine::on_hold(const Conn& c, TimeNs now) {
-  held_.insert(c);
-  upsert(c, now, Event::kHold);
+  Entry& e = entries_[upsert(c, now, Event::kHold)];
+  if (!e.held) {
+    e.held = true;
+    ++held_;
+  }
 }
 
+// pmx-hot
 bool PolicyEngine::settle_front(const EngineView& v) {
   while (!heap_.empty()) {
     const HeapEntry& top = heap_.front();
-    const auto it = entries_.find(top.conn);
-    if (it != entries_.end() && rank_->rank(it->second, v) == top.key) {
+    const std::uint32_t i = find(top.conn);
+    if (i != kAbsent && rank_->rank(entries_[i].state, v) == top.key) {
       return true;  // live: this key is the entry's current rank
     }
     // Stale: the connection was released, or was re-ranked by a later
@@ -124,7 +171,7 @@ bool PolicyEngine::settle_front(const EngineView& v) {
 }
 
 std::vector<Conn> PolicyEngine::collect_evictions(TimeNs now) {
-  std::vector<Conn> evict;
+  evict_.clear();
   const EngineView v = view(now);
   const auto pop_front = [&] {
     std::pop_heap(heap_.begin(), heap_.end(),
@@ -136,16 +183,16 @@ std::vector<Conn> PolicyEngine::collect_evictions(TimeNs now) {
 
   // Idle-TTL safety valve (capacity policies only): expire by last_use so
   // a drained network cannot wedge on held slots that nothing overflows.
-  // The batch is sorted below, so map iteration order cannot leak out.
+  // The batch is sorted below, so the packed order cannot leak out.
   if (idle_ttl_ > TimeNs{0}) {
-    auto it = entries_.begin();  // pmx-lint: allow(unordered-iter)
-    while (it != entries_.end()) {
-      if (it->second.last_use.ns() + idle_ttl_.ns() <= now.ns()) {
-        evict.push_back(it->first);
-        held_.erase(it->first);
-        it = entries_.erase(it);
+    std::uint32_t i = 0;
+    while (i < entries_.size()) {
+      const FlowState& s = entries_[i].state;
+      if (s.last_use.ns() + idle_ttl_.ns() <= now.ns()) {
+        evict_.push_back(s.conn);
+        erase_at(i);  // the last entry moves into i: look at i again
       } else {
-        ++it;
+        ++i;
       }
     }
   }
@@ -154,9 +201,8 @@ std::vector<Conn> PolicyEngine::collect_evictions(TimeNs now) {
   const Rank horizon = rank_->horizon(v);
   if (horizon != kNoHorizon) {
     while (settle_front(v) && heap_.front().key <= horizon) {
-      evict.push_back(heap_.front().conn);
-      entries_.erase(heap_.front().conn);
-      held_.erase(heap_.front().conn);
+      evict_.push_back(heap_.front().conn);
+      erase(heap_.front().conn);
       pop_front();
     }
   }
@@ -165,16 +211,16 @@ std::vector<Conn> PolicyEngine::collect_evictions(TimeNs now) {
   const std::size_t cap = rank_->capacity();
   if (cap > 0) {
     while (entries_.size() > cap && settle_front(v)) {
-      evict.push_back(heap_.front().conn);
-      entries_.erase(heap_.front().conn);
-      held_.erase(heap_.front().conn);
+      evict_.push_back(heap_.front().conn);
+      erase(heap_.front().conn);
       pop_front();
     }
   }
 
   compact_if_oversized(v);
-  sort_evictions(evict);
-  return evict;
+  sort_evictions(evict_);
+  // The batch is built in reused scratch; the caller gets one exact copy.
+  return std::vector<Conn>(evict_.begin(), evict_.end());
 }
 
 void PolicyEngine::compact_if_oversized(const EngineView& v) {
@@ -185,9 +231,8 @@ void PolicyEngine::compact_if_oversized(const EngineView& v) {
   // irrelevant: the comparator's total order makes the pop sequence of a
   // heap independent of its construction order.
   heap_.clear();
-  heap_.reserve(entries_.size());
-  for (const auto& [c, s] : entries_) {  // pmx-lint: allow(unordered-iter)
-    heap_.push_back(HeapEntry{rank_->rank(s, v), c});
+  for (const Entry& e : entries_) {
+    heap_.push_back(HeapEntry{rank_->rank(e.state, v), e.state.conn});
   }
   std::make_heap(heap_.begin(), heap_.end(),
                  [](const HeapEntry& a, const HeapEntry& b) {
@@ -199,8 +244,11 @@ void PolicyEngine::on_flush() {
   // A flush forgets every learned entry (and the scheduler resets its hold
   // matrix in the same breath) but keeps the global use epoch: the
   // pre-engine CounterPredictor's counters survived flushes the same way.
+  for (const Entry& e : entries_) {
+    index_slot(e.state.conn) = kAbsent;
+  }
   entries_.clear();
-  held_.clear();
+  held_ = 0;
   heap_.clear();
 }
 

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "predictor/predictor.hpp"
@@ -18,6 +17,13 @@ namespace pmx {
 /// keeps a lazy binary min-heap of (rank, conn) keys; the pluggable RankFn
 /// decides what the rank means (see rank_fn.hpp for the contract).
 ///
+/// Storage: the FlowStates sit in a packed vector, reached through a dense
+/// pair index (a sparse set): erasing an entry moves the last one into its
+/// place, so touches, releases and evictions neither hash nor allocate once
+/// the vector, the index and the heap have grown to the working set. The
+/// index covers the largest port seen so far, rounded up to a multiple of
+/// 64, and is rebuilt from the packed entries when a larger port appears.
+///
 /// Laziness: establish/use events push a fresh key instead of re-heapifying
 /// (stale copies are skipped at pop time by comparing the stored key with
 /// the recomputed rank), and releases leave their keys behind. The heap is
@@ -26,10 +32,10 @@ namespace pmx {
 ///
 /// Determinism: the heap comparator totally orders entries by
 /// (rank, src, dst), so the pop sequence -- and therefore every eviction
-/// batch -- is a pure function of the event history, independent of hash
-/// ordering, heap layout, or thread count. Eviction batches are additionally
-/// sorted by (src, dst) before being returned, preserving the pre-engine
-/// unhold order contract.
+/// batch -- is a pure function of the event history, independent of the
+/// packed order, heap layout, or thread count. Eviction batches are
+/// additionally sorted by (src, dst) before being returned, preserving the
+/// pre-engine unhold order contract.
 ///
 /// The engine also mirrors the scheduler's hold latches (on_hold /
 /// believes_held): every network path that unlatches a hold reaches the
@@ -62,17 +68,16 @@ class PolicyEngine final : public Predictor {
 
   void on_hold(const Conn& c, TimeNs now) override;
   [[nodiscard]] bool mirrors_holds() const override { return true; }
-  [[nodiscard]] std::size_t held_count() const override {
-    return held_.size();
-  }
+  [[nodiscard]] std::size_t held_count() const override { return held_; }
   [[nodiscard]] bool believes_held(const Conn& c) const override {
-    return held_.contains(c);
+    const std::uint32_t i = find(c);
+    return i != kAbsent && entries_[i].held;
   }
 
   // --- Introspection (tests, auditor, benches) ---------------------------
   [[nodiscard]] std::size_t tracked() const { return entries_.size(); }
   [[nodiscard]] bool is_tracked(const Conn& c) const {
-    return entries_.contains(c);
+    return find(c) != kAbsent;
   }
   [[nodiscard]] const RankFn& rank_fn() const { return *rank_; }
   [[nodiscard]] std::uint64_t use_epoch() const { return use_epoch_; }
@@ -82,22 +87,42 @@ class PolicyEngine final : public Predictor {
   }
 
  private:
-  struct ConnHash {
-    std::size_t operator()(const Conn& c) const {
-      return c.src * 0x9E3779B9u + c.dst;
-    }
+  /// One tracked connection: its flow state plus the hold-mirror flag.
+  struct Entry {
+    FlowState state;
+    bool held = false;  ///< mirror of the scheduler's hold latch
   };
   /// Heap key: the rank at push time plus the identity tie-breaker.
   struct HeapEntry {
     Rank key;
     Conn conn;
   };
+  /// Index value of an untracked pair.
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
 
   [[nodiscard]] EngineView view(TimeNs now) const {
     return EngineView{now, use_epoch_, entries_.size()};
   }
+  /// Position of `c` in entries_, or kAbsent.
+  [[nodiscard]] std::uint32_t find(const Conn& c) const {
+    return c.src < ports_ && c.dst < ports_ ? index_[c.src * ports_ + c.dst]
+                                            : kAbsent;
+  }
+  /// `c`'s index slot. Precondition: both ports below ports_.
+  std::uint32_t& index_slot(const Conn& c) {
+    return index_[c.src * ports_ + c.dst];
+  }
+  /// Start tracking `s.conn` (untracked) as `s`; returns its position.
+  std::uint32_t insert(const FlowState& s);
+  /// Stop tracking the entry at position `i`: the last entry moves into it.
+  void erase_at(std::uint32_t i);
+  /// Stop tracking `c` if it is tracked.
+  void erase(const Conn& c);
+  /// Widen the pair index to cover `port`, re-indexing every entry.
+  void grow_index(NodeId port);
   enum class Event { kEstablish, kUse, kHold };
-  void upsert(const Conn& c, TimeNs now, Event event);
+  /// Returns the position of `c`'s entry.
+  std::uint32_t upsert(const Conn& c, TimeNs now, Event event);
   void push_key(const Conn& c, const FlowState& s, const EngineView& v);
   /// Pop heap entries until the front is live (its key matches the entry's
   /// current rank); returns false when the heap ran empty.
@@ -108,9 +133,12 @@ class PolicyEngine final : public Predictor {
   std::unique_ptr<RankFn> rank_;
   std::unique_ptr<WorkingSetTracker> tracker_;
   TimeNs idle_ttl_{0};  ///< 0 = disabled
-  std::unordered_map<Conn, FlowState, ConnHash> entries_;
-  std::unordered_set<Conn, ConnHash> held_;  ///< mirror of scheduler holds
+  std::vector<Entry> entries_;         ///< packed, in no particular order
+  std::vector<std::uint32_t> index_;   ///< (src, dst) -> entries_ position
+  std::size_t ports_ = 0;              ///< index_ is ports_ x ports_
+  std::size_t held_ = 0;               ///< entries with the held flag set
   std::vector<HeapEntry> heap_;
+  std::vector<Conn> evict_;  ///< collect_evictions' batch scratch
   std::uint64_t use_epoch_ = 0;  ///< total on_use events engine-wide
 };
 

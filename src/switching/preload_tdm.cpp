@@ -24,6 +24,11 @@ PreloadTdmNetwork::PreloadTdmNetwork(Simulator& sim,
       slot_config_(params.mux_degree),
       slot_clock_(sim, params.slot_length, [this] { on_slot_tick(); }) {
   PMX_CHECK(!plan_.phases.empty(), "compiled plan has no phases");
+  std::size_t most_configs = 0;
+  for (const PhasePlan& phase : plan_.phases) {
+    most_configs = std::max(most_configs, phase.configs.size());
+  }
+  head_needed_.reserve(most_configs);
   config_sent_.assign(plan_.phases[0].configs.size(), 0);
   phase_unsettled_.assign(plan_.phases.size(), 0);
   if (params.reopt.enabled()) {
@@ -149,13 +154,15 @@ void PreloadTdmNetwork::fill_free_slots() {
   const PhasePlan& phase = plan_.phases[phase_];
   // Pending = not loaded and not drained. Prefer configurations that some
   // node's head-of-line message needs right now; break ties by index (the
-  // compiler's load-time order).
-  std::vector<std::uint64_t> head_demand(phase.configs.size(), 0);
+  // compiler's load-time order). A pending pair's VOQ is non-empty, and a
+  // queued head always has bytes left, so every pending pair of the phase
+  // marks its configuration as needed.
+  head_needed_.assign(phase.configs.size(), 0);
   for (NodeId u = 0; u < params_.num_nodes; ++u) {
     voqs_[u].pending().for_each_set([&](std::size_t v) {
       const std::size_t cfg = phase.config_of(u, static_cast<NodeId>(v));
       if (cfg != PhasePlan::kNoConfig) {
-        head_demand[cfg] += voqs_[u].head_remaining(static_cast<NodeId>(v));
+        head_needed_[cfg] = 1;
       }
     });
   }
@@ -189,7 +196,7 @@ void PreloadTdmNetwork::fill_free_slots() {
       if (idle == PhasePlan::kNoConfig) {
         idle = c;
       }
-      if (hol == PhasePlan::kNoConfig && head_demand[c] > 0) {
+      if (hol == PhasePlan::kNoConfig && head_needed_[c] != 0) {
         hol = c;
       }
       if (!est_demand.empty() && est_demand[c] > ranked_demand) {

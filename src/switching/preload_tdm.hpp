@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -80,6 +81,9 @@ class PreloadTdmNetwork final : public TdmNetworkBase {
   bool retransmitting_ = false;
   /// Which plan configuration each scheduler slot currently holds.
   std::vector<std::optional<std::size_t>> slot_config_;
+  /// fill_free_slots' scratch, by configuration of the current phase: 1
+  /// where some pending pair needs it. Reserved for the largest phase.
+  std::vector<std::uint8_t> head_needed_;
   /// Consecutive slots with queued traffic but no transmission.
   std::uint64_t stall_slots_ = 0;
 

@@ -166,9 +166,14 @@ void TdmNetwork::on_slot_tick() {
   }
   // Predictor evictions unlatch idle connections; the next SL pass over
   // their slot releases them.
-  for (const Conn& c : predictor_->collect_evictions(sim_.now())) {
+  const std::vector<Conn> evicted = predictor_->collect_evictions(sim_.now());
+  for (const Conn& c : evicted) {
     sched_.unhold(c.src, c.dst);
-    counters().counter("evictions") += 1;
+  }
+  // Each counter below is bumped once per slot, and only when the slot
+  // counted something: counters().all() lists every name ever bumped.
+  if (!evicted.empty()) {
+    counters().counter("evictions") += evicted.size();
   }
 
   const auto slot = sched_.advance_slot();
@@ -187,6 +192,11 @@ void TdmNetwork::on_slot_tick() {
       occupancy -= std::min(occupancy, rx_drain_);
     }
   }
+  std::uint64_t idle_grants = 0;
+  std::uint64_t grant_stalls = 0;
+  std::uint64_t backpressure_stalls = 0;
+  std::uint64_t transmits = 0;
+  std::uint64_t slot_bytes = 0;
   for (NodeId u = 0; u < n; ++u) {
     const auto granted = sched_.granted_output(u);
     if (!granted) {
@@ -194,14 +204,14 @@ void TdmNetwork::on_slot_tick() {
     }
     const NodeId v = *granted;
     if (voqs_[u].empty(v)) {
-      counters().counter("idle_grants") += 1;
+      ++idle_grants;
       continue;
     }
     if (plane_ && !plane_->granted(u, v)) {
       // The connection is live in the fabric but the grant reply has not
       // reached (or was lost on the way to) NIC u: it will not drive data
       // it does not know it may drive.
-      counters().counter("grant_stalls") += 1;
+      ++grant_stalls;
       continue;
     }
     std::uint64_t budget = params_.slot_payload_bytes();
@@ -211,11 +221,12 @@ void TdmNetwork::on_slot_tick() {
       const std::uint64_t credit = rx_buffer_ - rx_occupancy_[v];
       if (credit < budget) {
         budget = credit;
-        counters().counter("backpressure_stalls") += 1;
+        ++backpressure_stalls;
       }
     }
     const std::uint64_t sent = transmit(u, v, budget, slot_start);
-    counters().counter("slot_bytes") += sent;
+    ++transmits;
+    slot_bytes += sent;
     if (reopt_ && sent > 0) {
       reopt_->observe(u, v, sent);
     }
@@ -231,6 +242,18 @@ void TdmNetwork::on_slot_tick() {
       sched_.hold(u, v);
       predictor_->on_hold(Conn{u, v}, slot_start);
     }
+  }
+  if (idle_grants > 0) {
+    counters().counter("idle_grants") += idle_grants;
+  }
+  if (grant_stalls > 0) {
+    counters().counter("grant_stalls") += grant_stalls;
+  }
+  if (backpressure_stalls > 0) {
+    counters().counter("backpressure_stalls") += backpressure_stalls;
+  }
+  if (transmits > 0) {
+    counters().counter("slot_bytes") += slot_bytes;  // may add 0
   }
   starvation_scan();
   lease_scan();

@@ -13,12 +13,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <type_traits>
+#include <vector>
 
 #include "common/bitmatrix.hpp"
 #include "common/bitvector.hpp"
 #include "common/message.hpp"
+#include "predictor/policy_engine.hpp"
 #include "sched/tdm_scheduler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
@@ -169,6 +172,78 @@ TEST(AllocationCount, SteadyStateSchedulerPassesAllocateNothing) {
   EXPECT_GT(established, 0u);
   EXPECT_GT(released, 0u);
   EXPECT_GT(sched.stats().slot_advances - before.slot_advances, 0u);
+}
+
+// The policy engine on dynamic TDM's slot path: every slot collects
+// evictions, then uses one pair per source, establishing and holding some
+// and releasing others. Each source moves to its next pair every third
+// slot, so pairs idle out past the 200 ns timeout and come back later:
+// entries leave and re-enter the packed set all the time, at ports past 64
+// and 128 too, and a flush every 500 slots empties it wholesale. Once the
+// set, the pair index, the heap and the batch scratch have grown to the
+// working set, a touch allocates nothing, and a collection allocates only
+// the batch it returns by value.
+TEST(PolicyEngineAlloc, SteadyStateTouchesDoNotAllocate) {
+  constexpr std::size_t kPorts = 130;
+  constexpr std::size_t kSlots = 4;
+  constexpr std::int64_t kSlotNs = 100;
+  constexpr int kWarmUp = 2000;
+  constexpr int kSteps = 4000;
+  const std::unique_ptr<Predictor> engine =
+      make_policy(PolicySpec::parse("timeout:200"));
+
+  std::uint64_t touch_allocations = 0;
+  std::uint64_t batches = 0;         // non-empty ones
+  std::uint64_t costly_batches = 0;  // allocated more than their copy
+  std::uint64_t evictions = 0;
+  std::vector<Conn> batch;
+  const auto slot = [&](int t) {
+    const TimeNs now{t * kSlotNs};
+    const std::uint64_t allocated =
+        allocations_of([&] { batch = engine->collect_evictions(now); });
+    if (!batch.empty()) {
+      ++batches;
+      evictions += batch.size();
+    }
+    if (allocated > (batch.empty() ? 0u : 1u)) {
+      ++costly_batches;
+    }
+    touch_allocations += allocations_of([&] {
+      const auto phase = static_cast<std::size_t>(t / 3);
+      for (std::size_t u = 0; u < kPorts; ++u) {
+        const Conn c{u, (u + 1 + (phase + u) % kSlots) % kPorts};
+        if (t % 3 == 0) {
+          engine->on_establish(c, now);
+        }
+        engine->on_use(c, now);
+        if (u % 5 == 0) {
+          engine->on_hold(c, now);
+        } else if (u % 7 == 0 && t % 3 == 2) {
+          engine->on_release(c, now);
+        }
+      }
+      if (t % 500 == 499) {
+        engine->on_flush();
+      }
+    });
+  };
+  for (int t = 0; t < kWarmUp; ++t) {
+    slot(t);
+  }
+  touch_allocations = 0;
+  batches = 0;
+  costly_batches = 0;
+  evictions = 0;
+  for (int t = kWarmUp; t < kWarmUp + kSteps; ++t) {
+    slot(t);
+  }
+  EXPECT_EQ(touch_allocations, 0u)
+      << "over " << kSteps << " slots of establish/use/hold/release";
+  EXPECT_EQ(costly_batches, 0u)
+      << "collect_evictions may allocate only the batch it returns";
+  // The slots did eviction work.
+  EXPECT_GT(batches, static_cast<std::uint64_t>(kSteps) / 4);
+  EXPECT_GT(evictions, batches);
 }
 
 /// Network::notify_delivered's event, rebuilt: the callback captures

@@ -1,20 +1,24 @@
 // Randomized differential test for the PolicyEngine's lazy-heap core: every
 // policy is driven through long random event histories and checked, after
-// every collection, against a naive O(n^2) reference evictor that shares
-// nothing with the engine but the RankFn contract (linear scans instead of
-// a heap, a plain vector instead of hash maps). Any divergence in eviction
-// batches, tracked sets or hold mirrors between the two implementations
-// fails with the offending seed in the message.
+// every step, against a naive O(n^2) reference evictor that shares nothing
+// with the engine but the RankFn contract (linear scans over a sorted map
+// instead of a heap over packed entries and a pair index). Any divergence in
+// eviction batches, in the tracked and held state of any pair the history
+// touched, or in the counts fails with the offending seed in the message.
 //
 // The op mix includes the hostile schedules the control-plane layers
 // produce: port-fault release storms (every connection on a port force-
 // released at once), resync-style repeated collections at one timestamp,
 // hold latches on already-evicted connections (the "held forever" quirk),
-// and flushes.
+// and flushes. Histories run at 8 and at 130 ports; at 130 the port range
+// widens as the history goes on, so the engine's pair index grows past 64
+// and past 128 ports while entries are live.
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +109,9 @@ class ReferenceEvictor {
   }
 
   [[nodiscard]] std::size_t tracked() const { return entries_.size(); }
+  [[nodiscard]] bool is_tracked(const Conn& c) const {
+    return entries_.contains(c);
+  }
   [[nodiscard]] std::size_t held_count() const { return held_.size(); }
   [[nodiscard]] bool believes_held(const Conn& c) const {
     return held_.contains(c);
@@ -177,23 +184,59 @@ std::unique_ptr<RankFn> case_rank(const DifferentialCase& c) {
   return make_rank_fn(PolicySpec::parse(c.policy_token));
 }
 
-/// One random history: engine and reference receive identical event streams
-/// and must agree on every eviction batch, tracked set and hold mirror.
-void run_history(const DifferentialCase& case_, std::uint64_t seed) {
-  constexpr std::size_t kNodes = 8;
+/// Every pair in `touched` is tracked and held alike on both sides, and the
+/// counts agree.
+void expect_same_state(const PolicyEngine& engine,
+                       const ReferenceEvictor& reference,
+                       const std::set<Conn, ConnLess>& touched,
+                       const std::string& where) {
+  ASSERT_EQ(engine.tracked(), reference.tracked()) << where;
+  ASSERT_EQ(engine.held_count(), reference.held_count()) << where;
+  for (const Conn& c : touched) {
+    if (engine.is_tracked(c) != reference.is_tracked(c) ||
+        engine.believes_held(c) != reference.believes_held(c)) {
+      FAIL() << where << ": pair (" << c.src << ", " << c.dst
+             << ") tracked " << engine.is_tracked(c) << "/"
+             << reference.is_tracked(c) << ", held "
+             << engine.believes_held(c) << "/" << reference.believes_held(c)
+             << " (engine/reference)";
+    }
+  }
+}
+
+/// One random history over `nodes` ports: engine and reference receive
+/// identical event streams and must agree on every eviction batch and on the
+/// state of every pair the history touched.
+void run_history(const DifferentialCase& case_, std::size_t nodes,
+                 std::uint64_t seed) {
   PolicyEngine engine("diff", case_rank(case_), nullptr,
                       TimeNs{case_.idle_ttl_ns});
   ReferenceEvictor reference(case_rank(case_), TimeNs{case_.idle_ttl_ns});
+  const std::string where = case_.policy_token + " nodes " +
+                            std::to_string(nodes) + " seed " +
+                            std::to_string(seed);
 
   Rng rng(seed);
   TimeNs now{0};
+  std::size_t op = 0;
+  // Past 8 ports, half the draws come from the first 8 (so pairs recur)
+  // and half from a window that widens by one port per step.
+  const auto random_port = [&] {
+    if (nodes <= 8 || rng.below(2) == 0) {
+      return static_cast<NodeId>(rng.below(std::min<std::size_t>(nodes, 8)));
+    }
+    return static_cast<NodeId>(rng.below(std::min(nodes, 8 + op)));
+  };
+  std::set<Conn, ConnLess> touched;
   const auto random_conn = [&] {
-    return Conn{static_cast<NodeId>(rng.below(kNodes)),
-                static_cast<NodeId>(rng.below(kNodes))};
+    const NodeId src = random_port();
+    const Conn c{src, random_port()};
+    touched.insert(c);
+    return c;
   };
 
   const std::size_t ops = 120 + rng.below(120);
-  for (std::size_t op = 0; op < ops; ++op) {
+  for (; op < ops; ++op) {
     now = now + TimeNs{rng.range(0, 80)};  // bursts share timestamps
     const std::uint64_t pick = rng.below(100);
     if (pick < 30) {
@@ -218,7 +261,7 @@ void run_history(const DifferentialCase& case_, std::uint64_t seed) {
     } else if (pick < 82) {
       // Port-fault release storm: every connection touching one node is
       // force-released in one burst, like set_port_fault does.
-      const NodeId port = static_cast<NodeId>(rng.below(kNodes));
+      const NodeId port = random_port();
       for (const Conn& c : reference.tracked_conns()) {
         if (c.src == port || c.dst == port) {
           engine.on_release(c, now);
@@ -234,39 +277,79 @@ void run_history(const DifferentialCase& case_, std::uint64_t seed) {
       // on both sides.
       const auto got = engine.collect_evictions(now);
       const auto want = reference.collect_evictions(now);
-      ASSERT_EQ(got, want) << case_.policy_token << " seed " << seed;
+      ASSERT_EQ(got, want) << where;
       if (rng.below(3) == 0) {
         const auto again = engine.collect_evictions(now);
         const auto ref_again = reference.collect_evictions(now);
-        ASSERT_EQ(again, ref_again) << case_.policy_token << " seed " << seed;
+        ASSERT_EQ(again, ref_again) << where;
       }
     }
-    ASSERT_EQ(engine.tracked(), reference.tracked())
-        << case_.policy_token << " seed " << seed;
-    ASSERT_EQ(engine.held_count(), reference.held_count())
-        << case_.policy_token << " seed " << seed;
+    expect_same_state(engine, reference, touched, where);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
   }
   // Final drain: advance far enough that every horizon policy expires
   // everything it ever will, and compare the terminal batches.
   now = now + TimeNs{100000};
   ASSERT_EQ(engine.collect_evictions(now), reference.collect_evictions(now))
-      << case_.policy_token << " seed " << seed;
-  ASSERT_EQ(engine.tracked(), reference.tracked())
-      << case_.policy_token << " seed " << seed;
+      << where;
+  expect_same_state(engine, reference, touched, where);
 }
 
 class PolicyDifferential
     : public ::testing::TestWithParam<DifferentialCase> {};
 
 TEST_P(PolicyDifferential, MatchesNaiveReferenceAcrossSeeds) {
-  // 1000+ random histories per policy; each history is a couple of hundred
-  // events, so the whole sweep stays well under a second per policy.
-  for (std::uint64_t seed = 1; seed <= 1200; ++seed) {
-    run_history(GetParam(), seed);
-    if (::testing::Test::HasFatalFailure()) {
-      return;  // the seed is in the assertion message; stop at the first
+  // 1000+ random histories per policy and port count; each history is a
+  // couple of hundred events, so the sweep stays around a second per policy.
+  for (const std::size_t nodes : {8u, 130u}) {
+    for (std::uint64_t seed = 1; seed <= 1200; ++seed) {
+      run_history(GetParam(), nodes, seed);
+      if (::testing::Test::HasFatalFailure()) {
+        return;  // the seed is in the assertion message; stop at the first
+      }
     }
   }
+}
+
+// A flush forgets every entry at once; touching the same pairs afterwards
+// must start them afresh, held or not, at low and high ports alike.
+TEST_P(PolicyDifferential, FlushThenRetouchMatchesReference) {
+  const DifferentialCase& case_ = GetParam();
+  PolicyEngine engine("diff", case_rank(case_), nullptr,
+                      TimeNs{case_.idle_ttl_ns});
+  ReferenceEvictor reference(case_rank(case_), TimeNs{case_.idle_ttl_ns});
+  const std::vector<Conn> pairs{{0, 1},   {1, 0},   {3, 63},  {63, 64},
+                                {64, 3},  {127, 0}, {128, 129}, {129, 64}};
+  const std::set<Conn, ConnLess> touched(pairs.begin(), pairs.end());
+  TimeNs now{0};
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      now = now + TimeNs{10};
+      engine.on_establish(pairs[i], now);
+      reference.on_establish(pairs[i], now);
+      engine.on_use(pairs[i], now);
+      reference.on_use(pairs[i], now);
+      if ((i + static_cast<std::size_t>(round)) % 2 == 0) {
+        engine.on_hold(pairs[i], now);
+        reference.on_hold(pairs[i], now);
+      }
+    }
+    const std::string where =
+        case_.policy_token + " round " + std::to_string(round);
+    expect_same_state(engine, reference, touched, where + " before flush");
+    ASSERT_EQ(engine.collect_evictions(now), reference.collect_evictions(now))
+        << where;
+    engine.on_flush();
+    reference.on_flush();
+    expect_same_state(engine, reference, touched, where + " after flush");
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  now = now + TimeNs{100000};
+  ASSERT_EQ(engine.collect_evictions(now), reference.collect_evictions(now));
 }
 
 INSTANTIATE_TEST_SUITE_P(

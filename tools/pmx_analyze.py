@@ -49,8 +49,11 @@ hatch and one fingerprint-baseline format (tools/pmx_lexer.py). The passes:
    (a by-value ``BitMatrix`` / ``BitVector`` declaration, copy or
    temporary, or a ``row_or()`` / ``col_or()`` reduction, each of which
    allocates fresh words), and no container growth (``push_back`` &
-   friends, ``insert``, ``resize``) on containers that are never
-   ``reserve``d in the same file or its paired header. A lexer cannot see
+   friends, ``insert``, ``emplace``, ``try_emplace``, ``resize``) on
+   containers that are never ``reserve``d in the same file or its paired
+   header. A node-based container (``unordered_map`` / ``unordered_set``,
+   ``map``, ``set``, ``list``, ``deque``) allocates a node per insertion,
+   so a ``reserve`` or ``rehash`` of one exempts nothing. A lexer cannot see
    types: ``(a & b).any()`` or ``auto c = a ^ b`` on bitsets builds a
    temporary through an operator and passes unflagged -- the pattern
    ``TdmScheduler::advance_slot`` used before it took
@@ -65,8 +68,10 @@ hatch and one fingerprint-baseline format (tools/pmx_lexer.py). The passes:
    (``scan_slot``, ``union_matches``), the EventQueue's push and pop
    (``push``, ``drop_dead``, ``take_top``, ``pop_until``, over a heap,
    slab and free list reserved at construction; pmx_alloc_tests counts
-   their allocations at run time too), the VOQ drain path, and ``rr_pick``
-   (the wormhole arbiters' round-robin pick).
+   their allocations at run time too), the VOQ drain path, ``rr_pick``
+   (the wormhole arbiters' round-robin pick), and the policy engine's
+   ``upsert`` and ``settle_front`` (packed entries behind a pair index;
+   pmx_alloc_tests counts the engine's allocations too).
 
 5. Line-local hygiene (the lint rules, LINT_RULES):
 
@@ -275,9 +280,16 @@ HOT_BITSET_RE = re.compile(
     r"|\b(?:row_or|col_or)\s*\(")
 HOT_GROW_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?\.\s*"
-    r"(?:push_back|push_front|emplace_back|emplace_front|emplace"
+    r"(?:push_back|push_front|emplace_back|emplace_front|emplace|try_emplace"
     r"|insert|resize)\s*\(")
 RESERVE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*(?:reserve|rehash)\s*\(")
+#: Node-based containers: every insertion allocates a node, and reserve() or
+#: rehash() sizes only a bucket array, so neither exempts their growth.
+NODE_DECL_RE = re.compile(
+    r"(?<![\w:])(?:std::)?(?:unordered_(?:map|set|multimap|multiset)"
+    r"|map|set|multimap|multiset|list|forward_list|deque)"
+    r"\s*<[^;{}]*?>[\s&*]*(?:const\s+)?([A-Za-z_]\w*)\s*(?:[;={,)]|$)"
+)
 
 RAW_RAND_RE = re.compile(
     r"(?<![\w:])(?:std::)?"
@@ -650,9 +662,9 @@ def hot_path_pass(lexed: LexedFile, extra_scope: list[str],
     regions = hot_regions(lexed)
     if not regions:
         return
-    reserved = {m.group(1)
-                for line in list(lexed.code) + extra_scope
-                for m in RESERVE_RE.finditer(line)}
+    scope = list(lexed.code) + extra_scope
+    node_based = collect_names(NODE_DECL_RE, scope)
+    reserved = collect_names(RESERVE_RE, scope) - node_based
     for first, first_col, last in regions:
         for lineno in range(first, last + 1):
             line = lexed.code[lineno - 1]
@@ -673,11 +685,14 @@ def hot_path_pass(lexed: LexedFile, extra_scope: list[str],
                            "hot kernel: " + RULES["hot-path-alloc"])
                 continue
             for m in HOT_GROW_RE.finditer(line):
-                if m.group(1) in reserved:
+                name = m.group(1)
+                if name in reserved:
                     continue
+                what = ("node-allocating growth" if name in node_based
+                        else "un-reserved growth")
                 lexed.emit(findings, lineno, "hot-path-alloc",
-                           f"un-reserved growth of '{m.group(1)}' in a hot "
-                           "kernel: " + RULES["hot-path-alloc"])
+                           f"{what} of '{name}' in a hot kernel: "
+                           + RULES["hot-path-alloc"])
                 break
 
 

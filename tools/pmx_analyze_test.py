@@ -119,10 +119,13 @@ class RuleFixtures(unittest.TestCase):
 
     def test_hot_path_alloc(self):
         # Inside the one pmx-hot region: raw new, std::function
-        # construction, string building, and un-reserved container growth.
-        # The identical un-annotated cold() function is not flagged.
+        # construction, string building, un-reserved vector growth, a
+        # try_emplace into an un-reserved std::map, and a try_emplace into
+        # an unordered_map whose reserve() does not exempt it. The
+        # un-annotated cold() function is not flagged; the good fixture's
+        # reserved vectors and map lookups are clean.
         self.assert_rule("hot_path_alloc_bad.cpp", "hot_path_alloc_good.cpp",
-                         "hot-path-alloc", 4)
+                         "hot-path-alloc", 6)
 
     def test_hot_path_bitset(self):
         # Owning bitsets inside the one pmx-hot region: a by-value
