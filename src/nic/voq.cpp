@@ -2,55 +2,43 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
-
 namespace pmx {
 
 VoqSet::VoqSet(std::size_t num_dests)
-    : queues_(num_dests), pending_(num_dests) {}
-
-void VoqSet::set_capacity(std::uint64_t max_bytes, std::size_t max_msgs) {
-  max_bytes_ = max_bytes;
-  max_msgs_ = max_msgs;
-}
-
-bool VoqSet::would_overflow(std::uint64_t bytes) const {
-  if (max_bytes_ > 0 && total_bytes_ + bytes > max_bytes_) {
-    return true;
-  }
-  return max_msgs_ > 0 && total_msgs_ + 1 > max_msgs_;
-}
+    : lists_(num_dests), pending_(num_dests) {}
 
 void VoqSet::push(const Message& msg) {
-  PMX_CHECK(msg.dst < queues_.size(), "VOQ destination out of range");
+  PMX_CHECK(msg.dst < lists_.size(), "VOQ destination out of range");
   PMX_CHECK(msg.bytes > 0, "zero-byte message");
-  queues_[msg.dst].push_back(  // pmx-lint: allow(unbounded-queue)
-      Entry{msg, msg.bytes});  // admission layer enforces would_overflow
+  std::uint32_t i = free_;
+  if (i != kNil) {
+    free_ = slab_[i].next;
+    slab_[i] = Entry{msg, msg.bytes, kNil};
+  } else {
+    PMX_CHECK(slab_.size() < kNil, "VOQ slab full");
+    i = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(Entry{msg, msg.bytes, kNil});
+  }
+  List& q = lists_[msg.dst];
+  if (q.tail == kNil) {
+    q.head = i;
+  } else {
+    slab_[q.tail].next = i;
+  }
+  q.tail = i;
+  ++q.count;
   pending_.set(msg.dst);
   total_bytes_ += msg.bytes;
-  peak_bytes_ = std::max(peak_bytes_, total_bytes_);
   ++total_msgs_;
-}
-
-std::size_t VoqSet::total_depth() const { return total_msgs_; }
-
-std::uint64_t VoqSet::total_bytes() const { return total_bytes_; }
-
-const Message& VoqSet::head(NodeId dst) const {
-  PMX_CHECK(!queues_[dst].empty(), "head of empty VOQ");
-  return queues_[dst].front().msg;
-}
-
-std::uint64_t VoqSet::head_remaining(NodeId dst) const {
-  PMX_CHECK(!queues_[dst].empty(), "head of empty VOQ");
-  return queues_[dst].front().remaining;
 }
 
 // pmx-hot
 std::uint64_t VoqSet::consume(NodeId dst, std::uint64_t budget,
                               Message* completed) {
-  PMX_CHECK(!queues_[dst].empty(), "consume from empty VOQ");
-  Entry& e = queues_[dst].front();
+  List& q = lists_[dst];
+  PMX_CHECK(q.count != 0, "consume from empty VOQ");
+  const std::uint32_t i = q.head;
+  Entry& e = slab_[i];
   const std::uint64_t taken = std::min(budget, e.remaining);
   e.remaining -= taken;
   total_bytes_ -= taken;
@@ -58,11 +46,13 @@ std::uint64_t VoqSet::consume(NodeId dst, std::uint64_t budget,
     if (completed != nullptr) {
       *completed = e.msg;
     }
-    queues_[dst].pop_front();
-    --total_msgs_;
-    if (queues_[dst].empty()) {
+    q.head = e.next;
+    if (--q.count == 0) {
+      q.tail = kNil;
       pending_.clear(dst);
     }
+    release(i);
+    --total_msgs_;
   } else if (completed != nullptr) {
     *completed = Message{};  // sentinel: id 0, bytes 0
   }
@@ -72,23 +62,25 @@ std::uint64_t VoqSet::consume(NodeId dst, std::uint64_t budget,
 std::optional<Message> VoqSet::evict(bool oldest, TimeNs cutoff,
                                      std::optional<NodeId> protect_dst) {
   NodeId best_dst = 0;
-  std::size_t best_pos = 0;
-  const Message* best = nullptr;
+  std::uint32_t best = kNil;
+  std::uint32_t best_prev = kNil;  ///< entry before `best` in its queue
   const auto better = [&](const Message& m) {
-    if (best == nullptr) {
+    if (best == kNil) {
       return true;
     }
-    if (m.submit_time != best->submit_time) {
-      return oldest ? m.submit_time < best->submit_time
-                    : m.submit_time > best->submit_time;
+    const Message& b = slab_[best].msg;
+    if (m.submit_time != b.submit_time) {
+      return oldest ? m.submit_time < b.submit_time
+                    : m.submit_time > b.submit_time;
     }
-    return oldest ? m.id < best->id : m.id > best->id;
+    return oldest ? m.id < b.id : m.id > b.id;
   };
   pending_.for_each_set([&](std::size_t d) {
-    const auto& q = queues_[d];
-    for (std::size_t pos = 0; pos < q.size(); ++pos) {
-      const Entry& e = q[pos];
-      if (pos == 0) {
+    std::uint32_t prev = kNil;
+    for (std::uint32_t i = lists_[d].head; i != kNil;
+         prev = i, i = slab_[i].next) {
+      const Entry& e = slab_[i];
+      if (prev == kNil) {
         // A partially-drained head (or the protected in-flight head) has
         // bytes on the wire already; it must complete normally.
         if (e.remaining != e.msg.bytes ||
@@ -100,23 +92,31 @@ std::optional<Message> VoqSet::evict(bool oldest, TimeNs cutoff,
         continue;
       }
       if (better(e.msg)) {
-        best = &e.msg;
+        best = i;
+        best_prev = prev;
         best_dst = static_cast<NodeId>(d);
-        best_pos = pos;
       }
     }
   });
-  if (best == nullptr) {
+  if (best == kNil) {
     return std::nullopt;
   }
-  const Message victim = *best;
-  auto& q = queues_[best_dst];
-  q.erase(q.begin() + static_cast<std::ptrdiff_t>(best_pos));
-  total_bytes_ -= victim.bytes;
-  --total_msgs_;
-  if (q.empty()) {
+  const Message victim = slab_[best].msg;
+  List& q = lists_[best_dst];
+  if (best_prev == kNil) {
+    q.head = slab_[best].next;
+  } else {
+    slab_[best_prev].next = slab_[best].next;
+  }
+  if (q.tail == best) {
+    q.tail = best_prev;
+  }
+  if (--q.count == 0) {
     pending_.clear(best_dst);
   }
+  release(best);
+  total_bytes_ -= victim.bytes;
+  --total_msgs_;
   return victim;
 }
 

@@ -2,10 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/bitvector.hpp"
 #include "common/message.hpp"
 
@@ -19,54 +19,48 @@ namespace pmx {
 /// non-empty bitmap of these queues, exposed as the maintained `pending()`
 /// BitVector (no per-pass allocation).
 ///
-/// Queues may be bounded: `set_capacity` arms a byte/message budget across
-/// all destinations and `would_overflow` is the explicit overflow verdict
-/// the NIC-side admission controller consults before push. The VoqSet never
-/// sheds on its own -- the admission layer decides, using the eviction
-/// helpers below to remove a victim.
+/// All N queues share one slab of 64-byte entries reused through a free
+/// list; each queue is an intrusive singly linked list over it. Building a
+/// VoqSet allocates the same for any N, and once the slab has grown to the
+/// peak number of queued messages, push/consume/evict allocate nothing.
+/// The VoqSet never sheds on its own: `Network::try_submit` is the
+/// admission verdict, and removes a victim through `evict`.
 class VoqSet {
  public:
   explicit VoqSet(std::size_t num_dests);
 
-  [[nodiscard]] std::size_t num_dests() const { return queues_.size(); }
-
-  /// Arm (or change) the capacity budget; 0 means unbounded on that axis.
-  void set_capacity(std::uint64_t max_bytes, std::size_t max_msgs);
-  [[nodiscard]] std::uint64_t capacity_bytes() const { return max_bytes_; }
-  [[nodiscard]] std::size_t capacity_msgs() const { return max_msgs_; }
-
-  /// Overflow verdict: would enqueueing `bytes` more (one more message)
-  /// exceed the armed capacity? Always false when unbounded.
-  [[nodiscard]] bool would_overflow(std::uint64_t bytes) const;
+  [[nodiscard]] std::size_t num_dests() const { return lists_.size(); }
 
   /// Enqueue a message for its destination.
   void push(const Message& msg);
 
-  [[nodiscard]] bool empty(NodeId dst) const { return queues_[dst].empty(); }
+  [[nodiscard]] bool empty(NodeId dst) const { return lists_[dst].count == 0; }
   [[nodiscard]] std::size_t depth(NodeId dst) const {
-    return queues_[dst].size();
+    return lists_[dst].count;
   }
   /// Total queued messages across all destinations.
-  [[nodiscard]] std::size_t total_depth() const;
+  [[nodiscard]] std::size_t total_depth() const { return total_msgs_; }
   /// Total queued bytes (remaining, across all destinations).
-  [[nodiscard]] std::uint64_t total_bytes() const;
+  [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
   /// Queued bytes (remaining) awaiting destination `dst` -- the demand
   /// estimator's occupancy fold. O(depth of that queue).
   [[nodiscard]] std::uint64_t bytes(NodeId dst) const {
     std::uint64_t total = 0;
-    for (const Entry& e : queues_[dst]) {
-      total += e.remaining;
+    for (std::uint32_t i = lists_[dst].head; i != kNil; i = slab_[i].next) {
+      total += slab_[i].remaining;
     }
     return total;
   }
-  /// High-water mark of total_bytes() over the VoqSet's lifetime (bounded-
-  /// occupancy assertions in the overload tests).
-  [[nodiscard]] std::uint64_t peak_bytes() const { return peak_bytes_; }
 
-  /// Message at the head of queue `dst`. Precondition: !empty(dst).
-  [[nodiscard]] const Message& head(NodeId dst) const;
+  /// Message at the head of queue `dst`. Precondition: !empty(dst). The
+  /// reference is valid until the next push, which may grow the slab.
+  [[nodiscard]] const Message& head(NodeId dst) const {
+    return head_entry(dst).msg;
+  }
   /// Unsent bytes of the head message.
-  [[nodiscard]] std::uint64_t head_remaining(NodeId dst) const;
+  [[nodiscard]] std::uint64_t head_remaining(NodeId dst) const {
+    return head_entry(dst).remaining;
+  }
 
   /// Consume up to `budget` bytes from the head of queue `dst`.
   /// Returns the number of bytes actually consumed; if this completes the
@@ -89,17 +83,40 @@ class VoqSet {
                                std::optional<NodeId> protect_dst);
 
  private:
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  /// One queued message. Live entries chain their queue head to tail; free
+  /// ones chain the free list.
   struct Entry {
     Message msg;
     std::uint64_t remaining;
+    std::uint32_t next;
   };
-  std::vector<std::deque<Entry>> queues_;
+  static_assert(sizeof(Entry) == 64, "one VOQ entry per cache line");
+
+  /// One destination's FIFO over the slab.
+  struct List {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t count = 0;
+  };
+
+  [[nodiscard]] const Entry& head_entry(NodeId dst) const {
+    PMX_CHECK(lists_[dst].count != 0, "head of empty VOQ");
+    return slab_[lists_[dst].head];
+  }
+  /// Return entry `i` to the free list.
+  void release(std::uint32_t i) {
+    slab_[i].next = free_;
+    free_ = i;
+  }
+
+  std::vector<Entry> slab_;
+  std::vector<List> lists_;
+  std::uint32_t free_ = kNil;  ///< first free slab entry
   BitVector pending_;
   std::uint64_t total_bytes_ = 0;
   std::size_t total_msgs_ = 0;
-  std::uint64_t peak_bytes_ = 0;
-  std::uint64_t max_bytes_ = 0;  ///< 0 = unbounded
-  std::size_t max_msgs_ = 0;     ///< 0 = unbounded
 };
 
 }  // namespace pmx

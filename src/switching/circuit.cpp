@@ -164,7 +164,7 @@ void CircuitNetwork::request_arrived(NodeId src_id) {
   if (out.busy || dst_down) {
     // Busy output or dead destination cable: queue FIFO at the scheduler.
     if (enqueue_waiter(src.active.dst, src_id)) {
-      counters().counter("circuit_waits") += 1;
+      counters().counter(circuit_waits_slot_) += 1;
     }
     return;
   }
@@ -192,7 +192,7 @@ void CircuitNetwork::request_arrived_ctrl(NodeId src_id, NodeId dst) {
   const bool dst_down = fm != nullptr && !fm->link_up(dst);
   if (out.busy || dst_down) {
     if (enqueue_waiter(dst, src_id)) {
-      counters().counter("circuit_waits") += 1;
+      counters().counter(circuit_waits_slot_) += 1;
     }
     return;
   }
@@ -211,7 +211,7 @@ void CircuitNetwork::grant_to(NodeId out_id, NodeId src_id) {
 }
 
 void CircuitNetwork::grant_circuit(NodeId src_id) {
-  counters().counter("circuits_established") += 1;
+  counters().counter(circuits_established_slot_) += 1;
   if (control_faulty()) {
     send_grant_msg(src_id, sources_[src_id].active.dst);
     return;

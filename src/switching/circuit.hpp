@@ -132,6 +132,9 @@ class CircuitNetwork final : public Network {
   std::vector<OutputState> outputs_;
   /// Bumped by resync_control(); in-flight control events go inert.
   std::uint64_t ctrl_epoch_ = 0;
+  // Per-request counters bump through slots, with no name lookup.
+  CounterSet::Slot circuits_established_slot_{"circuits_established"};
+  CounterSet::Slot circuit_waits_slot_{"circuit_waits"};
 };
 
 }  // namespace pmx

@@ -68,7 +68,7 @@ Message Network::make_message(NodeId src, NodeId dst, std::uint64_t bytes,
   msg.bytes = bytes;
   msg.submit_time = sim_.now();
   msg.phase = phase;
-  counters_.counter("submitted") += 1;
+  counters_.counter(submitted_slot_) += 1;
   submitted_bytes_ += bytes;
   if (submitted_count() == 1) {
     first_submit_ = msg.submit_time;
@@ -242,7 +242,7 @@ void Network::record_delivery(const Message& msg, TimeNs send_done) {
   if (rec.delivered > last_delivery_) {
     last_delivery_ = rec.delivered;
   }
-  counters_.counter("delivered") += 1;
+  counters_.counter(delivered_slot_) += 1;
   if (delivered_) {
     delivered_(rec);
   }

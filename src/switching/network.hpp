@@ -279,6 +279,9 @@ class Network {
   TimeNs last_delivery_{};
   MessageId next_id_ = 1;
   CounterSet counters_;
+  // Per-message counters bump through slots, with no name lookup.
+  CounterSet::Slot submitted_slot_{"submitted"};
+  CounterSet::Slot delivered_slot_{"delivered"};
 
   std::uint64_t submitted_bytes_ = 0;
   TimeNs first_submit_{};

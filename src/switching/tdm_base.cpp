@@ -14,12 +14,6 @@ TdmNetworkBase::TdmNetworkBase(Simulator& sim, const SystemParams& params,
                                    .multi_slot_connections = multi_slot,
                                    .skip_unrequested_slots = true}),
       voqs_(params.num_nodes, VoqSet(params.num_nodes)) {
-  if (admission_enabled()) {
-    for (auto& voq : voqs_) {
-      voq.set_capacity(params.admission.capacity_bytes,
-                       params.admission.capacity_msgs);
-    }
-  }
   if (control_faulty()) {
     plane_ = std::make_unique<ControlPlane>(
         sim, *control_fault(),

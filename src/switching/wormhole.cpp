@@ -13,12 +13,6 @@ WormholeNetwork::WormholeNetwork(Simulator& sim, const SystemParams& params)
       waiting_(params.num_nodes),
       input_busy_(params.num_nodes),
       output_busy_(params.num_nodes) {
-  if (admission_enabled()) {
-    for (auto& src : sources_) {
-      src.voqs.set_capacity(params.admission.capacity_bytes,
-                            params.admission.capacity_msgs);
-    }
-  }
   if (FaultModel* fm = fault_model()) {
     fm->subscribe([this](NodeId node, bool up) { on_link_change(node, up); });
   }
@@ -97,7 +91,7 @@ void WormholeNetwork::try_dispatch(NodeId src_id) {
   const std::size_t n = params_.num_nodes;
   const std::size_t v = pick_output(src_id);
   if (v == n) {
-    counters().counter("dispatch_misses") += 1;
+    counters().counter(dispatch_misses_slot_) += 1;
     return;
   }
   if (ControlFaultModel* cf = control_fault()) {
@@ -138,7 +132,7 @@ void WormholeNetwork::try_dispatch(NodeId src_id) {
   output_busy_.set(v);
   const std::uint64_t worm_bytes =
       std::min(src.voqs.head_remaining(v), params_.max_worm_bytes);
-  counters().counter("worms") += 1;
+  counters().counter(worms_slot_) += 1;
   // Head-flit arbitration (80 ns) + flit stream at line rate; input and
   // output are both held for the duration.
   const TimeNs duration =

@@ -168,6 +168,9 @@ class WormholeNetwork final : public Network {
   BitMatrix waiting_;      ///< row v: inputs with a non-empty VOQ to v
   BitVector input_busy_;   ///< inputs with a worm in flight
   BitVector output_busy_;  ///< outputs held by a worm in flight
+  // Per-worm counters bump through slots, with no name lookup.
+  CounterSet::Slot worms_slot_{"worms"};
+  CounterSet::Slot dispatch_misses_slot_{"dispatch_misses"};
 };
 
 }  // namespace pmx

@@ -1,6 +1,7 @@
-// Admission-control layer: bounded VOQs with an explicit overflow verdict,
-// the shed policies, and the accounting contract that overload can never
-// wedge a run (every submission resolves as delivered, dropped, or shed).
+// Admission-control layer: VOQ eviction order, the shed policies behind
+// Network::try_submit's overflow verdict, and the accounting contract that
+// overload can never wedge a run (every submission resolves as delivered,
+// dropped, or shed).
 
 #include <gtest/gtest.h>
 
@@ -28,31 +29,6 @@ Message make_msg(MessageId id, NodeId src, NodeId dst, std::uint64_t bytes,
   msg.bytes = bytes;
   msg.submit_time = submit_time;
   return msg;
-}
-
-TEST(VoqCapacity, VerdictCoversBothAxesAndUnboundedDefault) {
-  VoqSet voqs(4);
-  EXPECT_FALSE(voqs.would_overflow(1'000'000));  // unbounded by default
-
-  voqs.set_capacity(/*max_bytes=*/256, /*max_msgs=*/0);
-  voqs.push(make_msg(1, 0, 1, 200, 0_ns));
-  EXPECT_FALSE(voqs.would_overflow(56));
-  EXPECT_TRUE(voqs.would_overflow(57));
-
-  voqs.set_capacity(/*max_bytes=*/0, /*max_msgs=*/2);
-  EXPECT_FALSE(voqs.would_overflow(1'000'000));  // byte axis unbounded again
-  voqs.push(make_msg(2, 0, 2, 8, 0_ns));
-  EXPECT_TRUE(voqs.would_overflow(8));  // third message exceeds msg budget
-}
-
-TEST(VoqCapacity, PeakBytesTracksHighWater) {
-  VoqSet voqs(4);
-  voqs.push(make_msg(1, 0, 1, 100, 0_ns));
-  voqs.push(make_msg(2, 0, 2, 50, 0_ns));
-  Message done;
-  EXPECT_EQ(voqs.consume(1, 100, &done), 100u);
-  EXPECT_EQ(voqs.total_bytes(), 50u);
-  EXPECT_EQ(voqs.peak_bytes(), 150u);
 }
 
 TEST(VoqEvict, OrdersBySubmitTimeThenId) {

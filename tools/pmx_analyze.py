@@ -106,8 +106,8 @@ hatch and one fingerprint-baseline format (tools/pmx_lexer.py). The passes:
                  no capacity check in sight (same line or the three preceding
                  code lines). Overload robustness rests on every NIC and
                  switch queue being bounded: growth must sit behind an
-                 explicit capacity verdict (VoqSet::would_overflow, the
-                 admission controller) or carry an allow comment stating the
+                 explicit capacity verdict (the admission controller,
+                 Network::try_submit) or carry an allow comment stating the
                  structural bound.
   include-guard  headers must open with `#pragma once`.
 
@@ -230,8 +230,8 @@ RULES = {
     "cores; route rank ordering through PolicyEngine and event ordering "
     "through EventQueue",
     "unbounded-queue": "queue growth without a capacity check; gate it "
-    "behind an explicit capacity verdict (VoqSet::would_overflow, the "
-    "admission controller) or allow() a structurally bounded site",
+    "behind an explicit capacity verdict (the admission controller, "
+    "Network::try_submit) or allow() a structurally bounded site",
     "include-guard": "header does not start with #pragma once",
 }
 
@@ -328,7 +328,7 @@ QUEUE_GROW_RE = re.compile(
 # of these appears on the growth line or the three preceding code lines
 # (comments are stripped, so prose claiming boundedness does not count).
 QUEUE_GUARD_RE = re.compile(
-    r"\b(?:would_overflow|capacity\w*|max_bytes\w*|max_msgs\w*"
+    r"\b(?:capacity\w*|max_bytes\w*|max_msgs\w*"
     r"|admit\w*|try_submit)\b"
 )
 QUEUE_GUARD_WINDOW = 3
