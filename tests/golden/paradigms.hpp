@@ -44,11 +44,14 @@ inline double line_rate() {
 ///   * the four Figure 4 patterns under all four paradigms (24 nodes,
 ///     192-byte messages, K=4, multi-slot connections, as bench_fig4 builds
 ///     them);
-///   * for wormhole, dynamic and preload TDM, one point of each robustness
-///     layer: A6 bit errors plus link MTBF/repair, A7 lossy control with
-///     healing off and the recovery-mode auditor, A9 open-loop overload into
-///     bounded drop-oldest VOQs; for the two TDM paradigms also A10 online
+///   * for all four paradigms, one point of each robustness layer: A6 bit
+///     errors plus link MTBF/repair, A7 lossy control with healing off and
+///     the recovery-mode auditor, A9 open-loop overload into bounded
+///     drop-oldest VOQs; for the two TDM paradigms also A10 online
 ///     re-optimization over a lossy channel with reliable releases;
+///   * one circuit point with held circuits and lossy control with healing
+///     on, whose delays outlive the lease (reuse, lease expiry, stale
+///     release and stale hold in one run);
 ///   * one wormhole point at N=130 (three 64-bit words, a 2-bit tail) with
 ///     every robustness layer its arbiter reacts to at once: open-loop
 ///     overload into drop-oldest VOQs, hard link faults, and lossy control
@@ -95,7 +98,8 @@ inline std::vector<ParadigmScenario> paradigm_scenarios() {
     return c;
   };
   const auto mesh16 = [] { return patterns::random_mesh(16, 256, 2, 7); };
-  for (const SwitchKind kind : {SwitchKind::kWormhole, SwitchKind::kDynamicTdm,
+  for (const SwitchKind kind : {SwitchKind::kWormhole, SwitchKind::kCircuit,
+                                SwitchKind::kDynamicTdm,
                                 SwitchKind::kPreloadTdm}) {
     const std::string tag = to_string(kind);
 
@@ -142,7 +146,7 @@ inline std::vector<ParadigmScenario> paradigm_scenarios() {
              return static_cast<std::uint64_t>(r.metrics.shed_messages);
            }}}});
 
-    if (kind == SwitchKind::kWormhole) {
+    if (kind == SwitchKind::kWormhole || kind == SwitchKind::kCircuit) {
       continue;  // no slot table to re-optimize
     }
     RunConfig a10 = chaos_base(kind);
@@ -175,6 +179,30 @@ inline std::vector<ParadigmScenario> paradigm_scenarios() {
                    {{"ctrl_dropped",
                      [](const RunResult& r) { return r.metrics.ctrl_dropped; }},
                     reopt_fired}});
+  }
+
+  {
+    // Circuit with held circuits over a lossy, slow control wire. A delayed
+    // message (1500 ns) outlives the lease (1000 ns), so one run reaches
+    // every healing branch of the handshake: circuit reuse, lease expiry,
+    // a stale teardown notice, and a stale hold on the reuse path.
+    RunConfig c = chaos_base(SwitchKind::kCircuit);
+    c.hold_circuits = true;
+    c.params.ctrl.seed = 1;
+    c.params.ctrl.loss = 0.05;
+    c.params.ctrl.delay_rate = 0.2;
+    c.params.ctrl.delay = TimeNs{1500};
+    c.params.ctrl.lease = TimeNs{1000};
+    out.push_back(
+        {"a7_ctrl_heal_hold_circuit", c, mesh16,
+         {{"circuit_reuses",
+           [](const RunResult& r) { return r.counter("circuit_reuses"); }},
+          {"lease_expiries",
+           [](const RunResult& r) { return r.metrics.lease_expiries; }},
+          {"stale_releases",
+           [](const RunResult& r) { return r.counter("stale_releases"); }},
+          {"stale_holds",
+           [](const RunResult& r) { return r.counter("stale_holds"); }}}});
   }
 
   {

@@ -4,11 +4,13 @@
 // compared byte for byte against its golden in tests/golden/paradigms/.
 // The table covers the Figure 4 patterns under wormhole, circuit, dynamic
 // and preload TDM, plus one point of each robustness layer (A6 faults, A7
-// lossy control, A9 overload) for wormhole and both TDM paradigms, A10
-// re-optimization for both TDM paradigms, a wormhole point at N=130 with
-// overload, link faults and lossy control together, a Figure 5 hybrid
-// point and an A5 flow-control point -- the net under any refactor of the
-// shared NIC/VOQ/control-plane plumbing or the wormhole arbiters.
+// lossy control, A9 overload) for all four paradigms, A10 re-optimization
+// for both TDM paradigms, a circuit point with held circuits whose control
+// delays outlive the lease, a wormhole point at N=130 with overload, link
+// faults and lossy control together, a Figure 5 hybrid point and an A5
+// flow-control point -- the net under any refactor of the shared
+// NIC/VOQ/control-plane plumbing, the circuit handshake or the wormhole
+// arbiters.
 //
 // Each robustness scenario also names the statistics that prove its layer
 // actually fired (retransmits, resyncs, sheds, re-opt applies, ...), so no
