@@ -7,18 +7,28 @@
 
 namespace pmx {
 
+namespace {
+
+/// Probation window after an apply, in TDM slots: goodput and auditor state
+/// are watched for this long before the new tables are committed.
+constexpr std::int64_t kProbationSlots = 32;
+
+/// Rollback guard: if goodput delivered during probation drops below this
+/// percentage of the pre-apply baseline window, the apply is rolled back to
+/// the stashed tables.
+constexpr std::uint64_t kGuardThresholdPct = 50;
+
+}  // namespace
+
 ReconfigApplier::ReconfigApplier(Simulator& sim, ControlFaultModel* ctrl,
-                                 const ReoptParams& params, TimeNs slot_length,
-                                 TimeNs wire_latency, Hooks hooks,
-                                 ReoptStats& stats)
+                                 TimeNs slot_length, TimeNs wire_latency,
+                                 Hooks hooks, ReoptStats& stats)
     : sim_(sim),
       ctrl_(ctrl),
-      params_(params),
       slot_length_(slot_length),
       wire_(wire_latency),
       hooks_(std::move(hooks)),
       stats_(stats) {
-  params_.validate();
   PMX_CHECK(hooks_.apply && hooks_.capture && hooks_.delivered_bytes &&
                 hooks_.violations,
             "reconfig applier needs all four hooks");
@@ -45,8 +55,7 @@ void ReconfigApplier::stage(SlotOptimizer::Proposal proposal,
   // floor so a probation that still moves nothing rolls back. Without the
   // floor, one wedged window would disarm the guard for the next apply and
   // a catastrophic table could pin itself in forever.
-  const TimeNs probation = slot_length_ * static_cast<std::int64_t>(
-                                              params_.probation_slots);
+  const TimeNs probation = slot_length_ * kProbationSlots;
   expected_probation_bytes_ = 0;
   if (baseline_window > TimeNs::zero()) {
     expected_probation_bytes_ =
@@ -60,20 +69,14 @@ void ReconfigApplier::stage(SlotOptimizer::Proposal proposal,
 
   state_ = State::kStaged;
   const std::uint64_t gen = ++gen_;
-  const TimeNs latency = stage_latency + wire_;
-  if (ctrl_ != nullptr) {
-    // The optimizer's apply command rides the same lossy channel as every
-    // other control message: a lost command is a skipped reconfiguration,
-    // retried naturally at the next service tick.
-    const bool scheduled = ctrl_->send(
-        CtrlMsg::kReconfig, latency, [this, gen] { on_command_arrival(gen); });
-    if (!scheduled) {
-      ++stats_.cmds_lost;
-      state_ = State::kIdle;
-    }
-    return;
+  // The optimizer's apply command rides the same control wire as every
+  // other control message: a lost command is a skipped reconfiguration,
+  // retried naturally at the next service tick.
+  if (!send_control(sim_, ctrl_, CtrlMsg::kReconfig, stage_latency + wire_,
+                    [this, gen] { on_command_arrival(gen); })) {
+    ++stats_.cmds_lost;
+    state_ = State::kIdle;
   }
-  sim_.schedule_after(latency, [this, gen] { on_command_arrival(gen); });
 }
 
 void ReconfigApplier::on_command_arrival(std::uint64_t gen) {
@@ -88,9 +91,8 @@ void ReconfigApplier::on_command_arrival(std::uint64_t gen) {
   bytes_at_apply_ = hooks_.delivered_bytes();
   violations_at_apply_ = hooks_.violations();
   state_ = State::kProbation;
-  const TimeNs probation = slot_length_ * static_cast<std::int64_t>(
-                                              params_.probation_slots);
-  sim_.schedule_after(probation, [this, gen] { on_probation_end(gen); });
+  sim_.schedule_after(slot_length_ * kProbationSlots,
+                      [this, gen] { on_probation_end(gen); });
 }
 
 void ReconfigApplier::on_probation_end(std::uint64_t gen) {
@@ -101,7 +103,7 @@ void ReconfigApplier::on_probation_end(std::uint64_t gen) {
   const bool violated = hooks_.violations() > violations_at_apply_;
   // Goodput guard: delivered * 100 < expected * pct, all integral.
   const bool dipped =
-      delivered * 100 < expected_probation_bytes_ * params_.guard_threshold_pct;
+      delivered * 100 < expected_probation_bytes_ * kGuardThresholdPct;
   if (violated || dipped) {
     // Roll back to the stashed pre-apply tables, unpinned: the reactive
     // path owns every slot again until the next solve earns trust. The

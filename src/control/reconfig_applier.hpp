@@ -6,7 +6,6 @@
 
 #include "common/bitmatrix.hpp"
 #include "common/time.hpp"
-#include "control/reopt_params.hpp"
 #include "control/slot_optimizer.hpp"
 #include "fault/control_fault.hpp"
 #include "sim/simulator.hpp"
@@ -65,10 +64,9 @@ class ReconfigApplier {
     std::function<std::uint64_t()> violations;
   };
 
-  /// `ctrl` may be null: reconfig commands then use a lossless scheduled
-  /// delivery (the maintenance channel of a fault-free configuration).
-  ReconfigApplier(Simulator& sim, ControlFaultModel* ctrl,
-                  const ReoptParams& params, TimeNs slot_length,
+  /// `ctrl` may be null: send_control() then delivers reconfig commands
+  /// losslessly (the maintenance channel of a fault-free configuration).
+  ReconfigApplier(Simulator& sim, ControlFaultModel* ctrl, TimeNs slot_length,
                   TimeNs wire_latency, Hooks hooks, ReoptStats& stats);
 
   /// Stage one proposal: the reconfig command crosses the control channel
@@ -92,7 +90,6 @@ class ReconfigApplier {
 
   Simulator& sim_;
   ControlFaultModel* ctrl_;
-  ReoptParams params_;
   TimeNs slot_length_;
   TimeNs wire_;
   Hooks hooks_;

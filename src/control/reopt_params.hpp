@@ -21,36 +21,16 @@ struct ReoptParams {
   /// arithmetic is integral fixed-point (see DemandEstimator).
   std::uint32_t ewma_shift = 2;
 
-  /// Fold current VOQ occupancy (queued-but-undelivered bytes) into the
-  /// window sample, so backlogged pairs count as demand even when starved
-  /// of slots (delivery counters alone would under-report exactly the
-  /// pairs the current table is failing).
-  bool fold_occupancy = true;
-
   /// Reconfiguration penalty: demand units charged per crosspoint that
   /// differs between the proposed and the live tables ("Costly Circuits" --
   /// reconfiguration has a cost that must be traded against coverage).
   std::uint64_t change_penalty = 64;
-
-  /// Hysteresis: a proposal is staged only when its score exceeds the
-  /// score of the live tables (coverage under the same demand, zero change
-  /// cost) by at least this many demand units. Suppresses churn-for-churn.
-  std::uint64_t min_gain = 64;
 
   /// Budgeted greedy solve: at most this many demand pairs are examined
   /// per solve. Each examined batch of `num_nodes` pairs costs one
   /// scheduler pass (80 ns) of staging latency, modeling the SL-array
   /// cost of evaluating candidate insertions.
   std::size_t work_budget = 256;
-
-  /// Probation window after an apply, in TDM slots: goodput and auditor
-  /// state are watched for this long before the new tables are committed.
-  std::size_t probation_slots = 32;
-
-  /// Rollback guard: if goodput delivered during probation drops below
-  /// this percentage of the pre-apply baseline window, the apply is rolled
-  /// back to the stashed tables.
-  std::uint32_t guard_threshold_pct = 50;
 
   /// Chaos hook for forced-rollback testing: every Nth staged proposal is
   /// replaced with deliberately demandless poison tables (a full rotation

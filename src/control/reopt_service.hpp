@@ -33,7 +33,8 @@ class ReoptService {
   struct Hooks {
     ReconfigApplier::Hooks applier;
     /// Walk the current VOQ backlog: call the visitor once per (src, dst)
-    /// pair with queued bytes. May be empty when occupancy folding is off.
+    /// pair with queued bytes. Required: every tick folds the backlog into
+    /// the demand window.
     std::function<void(
         const std::function<void(NodeId, NodeId, std::uint64_t)>&)>
         visit_queues;

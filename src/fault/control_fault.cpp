@@ -119,6 +119,15 @@ bool ControlFaultModel::send(CtrlMsg kind, TimeNs latency, EventFn deliver) {
   return false;
 }
 
+bool send_control(Simulator& sim, ControlFaultModel* faults, CtrlMsg kind,
+                  TimeNs latency, EventFn deliver) {
+  if (faults != nullptr) {
+    return faults->send(kind, latency, std::move(deliver));
+  }
+  sim.schedule_after(latency, std::move(deliver));
+  return true;
+}
+
 void ControlFaultModel::force_drop(CtrlMsg kind, std::size_t n) {
   forced_drops_[static_cast<std::size_t>(kind)] += n;
 }

@@ -112,10 +112,10 @@ ControlPlane::ControlPlane(Simulator& sim, ControlFaultModel& ctrl,
     : sim_(sim),
       ctrl_(ctrl),
       n_(options.num_nodes),
-      wire_(options.wire_latency),
+      latency_(options.wire_latency),
       grant_line_(options.grant_line),
-      heal_(options.heal),
       counters_(counters),
+      wire_(sim, &ctrl, counters),
       apply_(std::move(apply)),
       pairs_(options.num_nodes * options.num_nodes),
       wants_(options.num_nodes),
@@ -123,7 +123,7 @@ ControlPlane::ControlPlane(Simulator& sim, ControlFaultModel& ctrl,
       inflight_(options.num_nodes),
       armed_(options.num_nodes) {
   PMX_CHECK(n_ >= 2, "control plane needs at least two nodes");
-  PMX_CHECK(wire_ >= TimeNs::zero(), "negative control wire latency");
+  PMX_CHECK(latency_ >= TimeNs::zero(), "negative control wire latency");
   PMX_CHECK(apply_ != nullptr, "control plane needs an apply hook");
 }
 
@@ -136,7 +136,7 @@ void ControlPlane::want(NodeId u, NodeId v) {
   p.attempts = 1;
   p.progressed = false;
   send_request(u, v, true);
-  if (heal_) {
+  if (wire_.healing()) {
     arm_watchdog(u, v);
   }
 }
@@ -161,23 +161,12 @@ void ControlPlane::note_progress(NodeId u, NodeId v) {
 }
 
 void ControlPlane::send_request(NodeId u, NodeId v, bool value) {
-  PairState& p = pair(u, v);
   const CtrlMsg kind = value ? CtrlMsg::kRequest : CtrlMsg::kRelease;
-  const bool scheduled =
-      ctrl_.send(kind, wire_, [this, u, v, value, ep = epoch_] {
-        if (ep != epoch_) {
-          counters_.counter("ctrl_stale") += 1;
-          return;
-        }
-        PairState& q = pair(u, v);
-        if (q.pending_request > 0) {
-          --q.pending_request;
-          sync_inflight(u, v);
-        }
-        apply_(u, v, value);
-      });
-  if (scheduled) {
-    ++p.pending_request;
+  if (wire_.send(kind, latency_, &pair(u, v).pending_request,
+                 [this, u, v, value] {
+                   sync_inflight(u, v);
+                   apply_(u, v, value);
+                 })) {
     sync_inflight(u, v);
   }
 }
@@ -189,13 +178,8 @@ void ControlPlane::sync_inflight(NodeId u, NodeId v) {
 
 void ControlPlane::arm_watchdog(NodeId u, NodeId v) {
   PairState& p = pair(u, v);
-  p.watchdog = sim_.schedule_after(ctrl_.watchdog_delay(p.attempts),
-                                   [this, u, v, ep = epoch_] {
-                                     if (ep != epoch_) {
-                                       return;
-                                     }
-                                     on_watchdog(u, v);
-                                   });
+  p.watchdog = wire_.arm(ctrl_.watchdog_delay(p.attempts),
+                         [this, u, v] { on_watchdog(u, v); });
   armed_.set(u, v);
 }
 
@@ -203,7 +187,7 @@ void ControlPlane::on_watchdog(NodeId u, NodeId v) {
   PairState& p = pair(u, v);
   p.watchdog = 0;
   armed_.set(u, v, false);
-  if (!wants_.get(u, v) || !heal_) {
+  if (!wants_.get(u, v)) {
     return;
   }
   if (p.progressed) {
@@ -227,42 +211,28 @@ void ControlPlane::send_grant(NodeId u, NodeId v, bool value) {
   if (!grant_line_) {
     return;
   }
-  PairState& p = pair(u, v);
-  const bool scheduled =
-      ctrl_.send(CtrlMsg::kGrant, wire_, [this, u, v, value, ep = epoch_] {
-        if (ep != epoch_) {
-          counters_.counter("ctrl_stale") += 1;
-          return;
-        }
-        PairState& q = pair(u, v);
-        if (q.pending_grant > 0) {
-          --q.pending_grant;
-          sync_inflight(u, v);
-        }
-        granted_.set(u, v, value);
-        if (value) {
-          q.progressed = true;
-          return;
-        }
-        if (wants_.get(u, v)) {
-          // Revoked while traffic is still queued (lease expiry racing new
-          // demand, or a predictor release): re-request immediately.
-          counters_.counter("ctrl_rerequests") += 1;
-          send_request(u, v, true);
-        }
-      });
-  if (scheduled) {
-    ++p.pending_grant;
+  if (wire_.send(CtrlMsg::kGrant, latency_, &pair(u, v).pending_grant,
+                 [this, u, v, value] {
+                   sync_inflight(u, v);
+                   granted_.set(u, v, value);
+                   if (value) {
+                     pair(u, v).progressed = true;
+                     return;
+                   }
+                   if (wants_.get(u, v)) {
+                     // Revoked while traffic is still queued (lease expiry
+                     // racing new demand, or a predictor release):
+                     // re-request immediately.
+                     counters_.counter("ctrl_rerequests") += 1;
+                     send_request(u, v, true);
+                   }
+                 })) {
     sync_inflight(u, v);
   }
 }
 
 void ControlPlane::refresh_lease(NodeId u, NodeId v) {
   pair(u, v).lease_stamp = sim_.now();
-}
-
-bool ControlPlane::lease_active() const {
-  return heal_ && ctrl_.params().lease > TimeNs::zero();
 }
 
 RequestAuditInput ControlPlane::audit_input(
@@ -285,7 +255,7 @@ bool ControlPlane::lease_expired(NodeId u, NodeId v) const {
 }
 
 std::size_t ControlPlane::begin_resync() {
-  ++epoch_;
+  wire_.bump_epoch();
   std::size_t invalidated = 0;
   for (PairState& p : pairs_) {
     if (p.watchdog != 0) {
@@ -308,7 +278,7 @@ void ControlPlane::force_state(NodeId u, NodeId v, bool wants, bool granted) {
   wants_.set(u, v, wants);
   granted_.set(u, v, granted);
   p.lease_stamp = sim_.now();
-  if (wants && heal_) {
+  if (wants && wire_.healing()) {
     arm_watchdog(u, v);
   }
 }

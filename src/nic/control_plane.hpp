@@ -51,9 +51,9 @@ void audit_requests_ref(const RequestAuditInput& in,
 ///
 /// With the control-fault layer off, a NIC's request bit R[u][v] is a wire
 /// the scheduler reads instantly and losslessly (the seed model). With it
-/// on, request/release updates and grant/revoke replies become messages
-/// routed through the ControlFaultModel, and the two ends keep *views* that
-/// can diverge:
+/// on, request/release updates and grant/revoke replies become messages on
+/// a ControlWire through the ControlFaultModel, and the two ends keep
+/// *views* that can diverge:
 ///   * NIC side  -- wants (the true intent, mirrors the VOQ), granted (the
 ///     NIC's belief about its connection), a per-pair grant watchdog that
 ///     reissues unacknowledged requests with exponential backoff;
@@ -80,8 +80,6 @@ class ControlPlane {
     /// Model scheduler -> NIC grant/revoke replies and track the NIC's
     /// granted-belief (dynamic TDM). Off, send_grant() is a no-op.
     bool grant_line = true;
-    /// Self-healing on (watchdog reissue + lease expiry).
-    bool heal = true;
   };
 
   /// Runs at the scheduler when a request (value=true) or release
@@ -119,7 +117,7 @@ class ControlPlane {
   /// establishment, or data observed in a slot.
   void refresh_lease(NodeId u, NodeId v);
   /// True when healing leases are armed (heal && lease > 0).
-  [[nodiscard]] bool lease_active() const;
+  [[nodiscard]] bool lease_active() const { return wire_.lease_active(); }
   /// True when (u, v)'s activity stamp is older than the lease.
   [[nodiscard]] bool lease_expired(NodeId u, NodeId v) const;
 
@@ -135,7 +133,6 @@ class ControlPlane {
   [[nodiscard]] bool watchdog_armed(NodeId u, NodeId v) const {
     return pair(u, v).watchdog != 0;
   }
-  [[nodiscard]] bool healing() const { return heal_; }
   /// The request audit's inputs: the scheduler's R and B* beside this
   /// plane's bit rows and flags.
   [[nodiscard]] RequestAuditInput audit_input(
@@ -147,13 +144,12 @@ class ControlPlane {
   /// how many in-flight messages were invalidated (disruption accounting for
   /// the re-optimization service).
   std::size_t begin_resync();
-  /// Current resync epoch. All epoch guards compare for equality only, so
-  /// the counter is wraparound-safe; see jump_epoch().
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-  /// Maintenance/test hook: jump the epoch counter to an arbitrary value
-  /// (e.g. near 2^64 for wraparound soak tests). In-flight messages from the
-  /// old epoch go stale, exactly as under begin_resync().
-  void jump_epoch(std::uint64_t epoch) { epoch_ = epoch; }
+  /// Current resync epoch of the control wire (wraparound-safe).
+  [[nodiscard]] std::uint64_t epoch() const { return wire_.epoch(); }
+  /// Test hook: jump the wire's epoch to an arbitrary value (e.g. near 2^64
+  /// for wraparound soak tests). In-flight messages from the old epoch go
+  /// stale, exactly as under begin_resync().
+  void jump_epoch(std::uint64_t epoch) { wire_.jump_epoch(epoch); }
   /// Overwrite (u, v)'s state with ground truth: NIC intent and the
   /// scheduler's established bit. Re-arms the watchdog for wanted pairs and
   /// refreshes the lease.
@@ -186,19 +182,18 @@ class ControlPlane {
   Simulator& sim_;
   ControlFaultModel& ctrl_;
   std::size_t n_;
-  TimeNs wire_;
+  TimeNs latency_;
   bool grant_line_;
-  bool heal_;
   CounterSet& counters_;
+  /// Carries every request, release, grant and revoke and the watchdogs;
+  /// owns the resync epoch.
+  ControlWire wire_;
   ApplyRequestFn apply_;
   std::vector<PairState> pairs_;
   BitMatrix wants_;     ///< W: the NIC's intent, mirrors its VOQ
   BitMatrix granted_;   ///< G: the NIC's granted-belief
   BitMatrix inflight_;  ///< I: pending_request + pending_grant > 0
   BitMatrix armed_;     ///< A: watchdog != 0
-  /// Bumped by begin_resync(); in-flight deliveries and watchdogs capture
-  /// the epoch they were scheduled under and go inert on mismatch.
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace pmx

@@ -15,7 +15,8 @@ CircuitNetwork::CircuitNetwork(Simulator& sim, const SystemParams& params,
     : Network(sim, params),
       options_(options),
       sources_(params.num_nodes),
-      outputs_(params.num_nodes) {
+      outputs_(params.num_nodes),
+      wire_(sim, control_fault(), counters()) {
   if (FaultModel* fm = fault_model()) {
     fm->subscribe([this](NodeId node, bool up) { on_link_change(node, up); });
   }
@@ -36,7 +37,7 @@ void CircuitNetwork::on_link_change(NodeId node, bool up) {
           (u == node || *src.held_circuit == node)) {
         const NodeId out = *src.held_circuit;
         src.held_circuit.reset();
-        schedule_release(out);
+        send_release(out);
       }
     }
     return;
@@ -95,7 +96,7 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
     if (src.held_circuit.has_value()) {
       const NodeId old_out = *src.held_circuit;
       src.held_circuit.reset();
-      schedule_release(old_out);
+      send_release(old_out);
     }
     return;
   }
@@ -114,7 +115,7 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
   src.fifo_bytes -= src.active.bytes;
 
   if (src.held_circuit == src.active.dst) {
-    if (control_faulty() && outputs_[src.active.dst].holder != src_id) {
+    if (outputs_[src.active.dst].holder != src_id) {
       // The NIC believes it still holds this pipe, but the scheduler's
       // lease already reclaimed it (the revoke notice was lost). Driving
       // data into an unconnected fabric would lose it silently; fall back
@@ -124,9 +125,7 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
     } else {
       // Circuit reuse: the pipe is already up; skip establishment entirely.
       counters().counter("circuit_reuses") += 1;
-      if (control_faulty()) {
-        outputs_[src.active.dst].last_activity = sim_.now();
-      }
+      outputs_[src.active.dst].last_activity = sim_.now();
       sim_.schedule_after(params_.nic_cycle,
                           [this, src_id] { transmit(src_id); });
       return;
@@ -138,40 +137,19 @@ void CircuitNetwork::start_next_message(NodeId src_id) {
   if (src.held_circuit.has_value()) {
     const NodeId old_out = *src.held_circuit;
     src.held_circuit.reset();
-    schedule_release(old_out);
+    send_release(old_out);
   }
-  if (control_faulty()) {
-    src.waiting_grant = true;
-    src.attempts = 1;
-    // NIC cycle, then the request crosses the lossy control wire.
-    send_request(src_id, src.active.dst,
-                 params_.nic_cycle + params_.control_wire_latency());
-    if (params_.ctrl.heal) {
-      arm_watchdog(src_id);
-    }
-    return;
-  }
+  src.waiting_grant = true;
+  src.attempts = 1;
   // NIC cycle, then the request crosses the control wire to the scheduler.
-  sim_.schedule_after(params_.nic_cycle + params_.control_wire_latency(),
-                      [this, src_id] { request_arrived(src_id); });
-}
-
-void CircuitNetwork::request_arrived(NodeId src_id) {
-  SourceState& src = sources_[src_id];
-  OutputState& out = outputs_[src.active.dst];
-  const FaultModel* fm = fault_model();
-  const bool dst_down = fm != nullptr && !fm->link_up(src.active.dst);
-  if (out.busy || dst_down) {
-    // Busy output or dead destination cable: queue FIFO at the scheduler.
-    if (enqueue_waiter(src.active.dst, src_id)) {
-      counters().counter(circuit_waits_slot_) += 1;
-    }
-    return;
+  send_request(src_id, src.active.dst,
+               params_.nic_cycle + params_.control_wire_latency());
+  if (wire_.healing()) {
+    arm_watchdog(src_id);
   }
-  grant_to(src.active.dst, src_id);
 }
 
-void CircuitNetwork::request_arrived_ctrl(NodeId src_id, NodeId dst) {
+void CircuitNetwork::request_arrived(NodeId src_id, NodeId dst) {
   SourceState& src = sources_[src_id];
   if (!src.busy || !src.waiting_grant || src.active.dst != dst) {
     // Delayed duplicate of a request already served (the source has moved
@@ -185,12 +163,13 @@ void CircuitNetwork::request_arrived_ctrl(NodeId src_id, NodeId dst) {
     // flight and the watchdog re-requested. Re-acknowledge.
     counters().counter("duplicate_requests") += 1;
     out.last_activity = sim_.now();
-    send_grant_msg(src_id, dst);
+    send_grant(src_id, dst);
     return;
   }
   const FaultModel* fm = fault_model();
   const bool dst_down = fm != nullptr && !fm->link_up(dst);
   if (out.busy || dst_down) {
+    // Busy output or dead destination cable: queue FIFO at the scheduler.
     if (enqueue_waiter(dst, src_id)) {
       counters().counter(circuit_waits_slot_) += 1;
     }
@@ -202,64 +181,24 @@ void CircuitNetwork::request_arrived_ctrl(NodeId src_id, NodeId dst) {
 void CircuitNetwork::grant_to(NodeId out_id, NodeId src_id) {
   OutputState& out = outputs_[out_id];
   out.busy = true;
-  if (control_faulty()) {
-    out.holder = src_id;
-    out.last_activity = sim_.now();
-    arm_lease(out_id);
-  }
-  grant_circuit(src_id);
-}
-
-void CircuitNetwork::grant_circuit(NodeId src_id) {
+  out.holder = src_id;
+  out.last_activity = sim_.now();
+  arm_lease(out_id);
   counters().counter(circuits_established_slot_) += 1;
-  if (control_faulty()) {
-    send_grant_msg(src_id, sources_[src_id].active.dst);
-    return;
-  }
-  // 80 ns to schedule, 80 ns for the grant to reach the NIC.
-  sim_.schedule_after(
-      params_.scheduler_latency + params_.control_wire_latency(),
-      [this, src_id] { transmit(src_id); });
+  send_grant(src_id, sources_[src_id].active.dst);
 }
 
 void CircuitNetwork::send_request(NodeId src_id, NodeId dst, TimeNs latency) {
-  SourceState& src = sources_[src_id];
-  const bool scheduled = control_fault()->send(
-      CtrlMsg::kRequest, latency, [this, src_id, dst, ep = ctrl_epoch_] {
-        if (ep != ctrl_epoch_) {
-          counters().counter("ctrl_stale") += 1;
-          return;
-        }
-        SourceState& s = sources_[src_id];
-        if (s.pending_request > 0) {
-          --s.pending_request;
-        }
-        request_arrived_ctrl(src_id, dst);
-      });
-  if (scheduled) {
-    ++src.pending_request;
-  }
+  wire_.send(CtrlMsg::kRequest, latency, &sources_[src_id].pending_request,
+             [this, src_id, dst] { request_arrived(src_id, dst); });
 }
 
-void CircuitNetwork::send_grant_msg(NodeId src_id, NodeId dst) {
-  SourceState& src = sources_[src_id];
-  const bool scheduled = control_fault()->send(
-      CtrlMsg::kGrant,
-      params_.scheduler_latency + params_.control_wire_latency(),
-      [this, src_id, dst, ep = ctrl_epoch_] {
-        if (ep != ctrl_epoch_) {
-          counters().counter("ctrl_stale") += 1;
-          return;
-        }
-        SourceState& s = sources_[src_id];
-        if (s.pending_grant > 0) {
-          --s.pending_grant;
-        }
-        grant_arrived(src_id, dst);
-      });
-  if (scheduled) {
-    ++src.pending_grant;
-  }
+void CircuitNetwork::send_grant(NodeId src_id, NodeId dst) {
+  // 80 ns to schedule, 80 ns for the grant to reach the NIC.
+  wire_.send(CtrlMsg::kGrant,
+             params_.scheduler_latency + params_.control_wire_latency(),
+             &sources_[src_id].pending_grant,
+             [this, src_id, dst] { grant_arrived(src_id, dst); });
 }
 
 void CircuitNetwork::grant_arrived(NodeId src_id, NodeId dst) {
@@ -281,14 +220,8 @@ void CircuitNetwork::grant_arrived(NodeId src_id, NodeId dst) {
 
 void CircuitNetwork::arm_watchdog(NodeId src_id) {
   SourceState& src = sources_[src_id];
-  src.watchdog = sim_.schedule_after(
-      control_fault()->watchdog_delay(src.attempts),
-      [this, src_id, ep = ctrl_epoch_] {
-        if (ep != ctrl_epoch_) {
-          return;
-        }
-        on_watchdog(src_id);
-      });
+  src.watchdog = wire_.arm(control_fault()->watchdog_delay(src.attempts),
+                           [this, src_id] { on_watchdog(src_id); });
 }
 
 void CircuitNetwork::on_watchdog(NodeId src_id) {
@@ -307,13 +240,12 @@ void CircuitNetwork::on_watchdog(NodeId src_id) {
 }
 
 void CircuitNetwork::arm_lease(NodeId out_id) {
-  ControlFaultModel* cf = control_fault();
-  if (!params_.ctrl.heal || cf->params().lease <= TimeNs::zero()) {
+  if (!wire_.lease_active()) {
     return;
   }
   OutputState& out = outputs_[out_id];
   const std::uint64_t seq = ++out.lease_seq;
-  sim_.schedule_after(cf->params().lease, [this, out_id, seq] {
+  sim_.schedule_after(params_.ctrl.lease, [this, out_id, seq] {
     lease_check(out_id, seq);
   });
 }
@@ -323,8 +255,6 @@ void CircuitNetwork::lease_check(NodeId out_id, std::uint64_t seq) {
   if (seq != out.lease_seq || !out.busy) {
     return;
   }
-  ControlFaultModel* cf = control_fault();
-  const TimeNs lease = cf->params().lease;
   if (out.holder.has_value()) {
     const SourceState& h = sources_[*out.holder];
     if ((h.busy && h.active.dst == out_id) || h.held_circuit == out_id) {
@@ -333,7 +263,7 @@ void CircuitNetwork::lease_check(NodeId out_id, std::uint64_t seq) {
       out.last_activity = sim_.now();
     }
   }
-  const TimeNs expiry = out.last_activity + lease;
+  const TimeNs expiry = out.last_activity + params_.ctrl.lease;
   if (sim_.now() < expiry) {
     sim_.schedule_after(expiry - sim_.now(), [this, out_id, seq] {
       lease_check(out_id, seq);
@@ -346,15 +276,12 @@ void CircuitNetwork::lease_check(NodeId out_id, std::uint64_t seq) {
   counters().counter("lease_expiries") += 1;
   if (out.holder.has_value()) {
     const NodeId holder = *out.holder;
-    cf->send(CtrlMsg::kGrant, params_.control_wire_latency(),
-             [this, holder, out_id, ep = ctrl_epoch_] {
-               if (ep != ctrl_epoch_) {
-                 return;
-               }
-               if (sources_[holder].held_circuit == out_id) {
-                 sources_[holder].held_circuit.reset();
-               }
-             });
+    wire_.send(CtrlMsg::kGrant, params_.control_wire_latency(), nullptr,
+               [this, holder, out_id] {
+                 if (sources_[holder].held_circuit == out_id) {
+                   sources_[holder].held_circuit.reset();
+                 }
+               });
   }
   free_output(out_id);
 }
@@ -380,51 +307,28 @@ void CircuitNetwork::send_complete(NodeId src_id) {
       fm == nullptr || (fm->link_up(src_id) && fm->link_up(msg.dst));
   if (options_.hold_circuits && pipe_alive) {
     src.held_circuit = msg.dst;
-    if (control_faulty()) {
-      outputs_[msg.dst].last_activity = sim_.now();
-    }
+    outputs_[msg.dst].last_activity = sim_.now();
   } else {
     // Teardown notice crosses the control wire; the output frees then.
-    schedule_release(msg.dst);
+    send_release(msg.dst);
   }
   start_next_message(src_id);
 }
 
-void CircuitNetwork::schedule_release(NodeId out_id) {
-  ControlFaultModel* cf = control_fault();
-  if (cf == nullptr) {
-    sim_.schedule_after(params_.control_wire_latency(),
-                        [this, out_id] { release_output(out_id); });
-    return;
-  }
-  OutputState& out = outputs_[out_id];
-  const bool scheduled = cf->send(
-      CtrlMsg::kRelease, params_.control_wire_latency(),
-      [this, out_id, ep = ctrl_epoch_] {
-        if (ep != ctrl_epoch_) {
-          counters().counter("ctrl_stale") += 1;
-          return;
-        }
-        OutputState& o = outputs_[out_id];
-        if (o.pending_release > 0) {
-          --o.pending_release;
-        }
-        release_output(out_id);
-      });
-  if (scheduled) {
-    ++out.pending_release;
-  }
+void CircuitNetwork::send_release(NodeId out_id) {
+  wire_.send(CtrlMsg::kRelease, params_.control_wire_latency(),
+             &outputs_[out_id].pending_release,
+             [this, out_id] { release_output(out_id); });
 }
 
 void CircuitNetwork::release_output(NodeId out_id) {
-  OutputState& out = outputs_[out_id];
-  if (control_faulty() && !out.busy) {
+  if (!outputs_[out_id].busy) {
     // The lease (or a resync) already reclaimed this output; the delayed
-    // teardown notice is stale.
+    // teardown notice is stale. Only the lossy layer reclaims outputs.
+    PMX_CHECK(control_faulty(), "releasing an idle circuit output");
     counters().counter("stale_releases") += 1;
     return;
   }
-  PMX_CHECK(out.busy, "releasing an idle circuit output");
   free_output(out_id);
 }
 
@@ -464,8 +368,7 @@ void CircuitNetwork::audit_control(std::vector<std::string>& out) {
   if (!control_faulty()) {
     return;
   }
-  const bool lease_armed =
-      params_.ctrl.heal && control_fault()->params().lease > TimeNs::zero();
+  const bool lease_armed = wire_.lease_active();
   for (NodeId o = 0; o < params_.num_nodes; ++o) {
     const OutputState& os = outputs_[o];
     if (!os.busy) {
@@ -509,7 +412,7 @@ void CircuitNetwork::resync_control() {
   }
   // Out-of-band full state exchange: invalidate every in-flight control
   // event, then rebuild the scheduler's output table from NIC ground truth.
-  ++ctrl_epoch_;
+  wire_.bump_epoch();
   for (OutputState& out : outputs_) {
     out.busy = false;
     out.holder.reset();
@@ -567,7 +470,7 @@ void CircuitNetwork::resync_control() {
     } else {
       grant_to(dst, u);
     }
-    if (params_.ctrl.heal) {
+    if (wire_.healing()) {
       arm_watchdog(u);
     }
   }

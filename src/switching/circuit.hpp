@@ -21,6 +21,10 @@ namespace pmx {
 ///    granted when the holder's circuit is torn down (teardown notice costs
 ///    one more 80 ns control-wire delay).
 ///
+/// The request, grant and teardown messages cross one ControlWire, lossy
+/// channel or not; only the watchdog, the lease, the audit and the resync
+/// belong to the lossy layer.
+///
 /// `hold_circuits` keeps a circuit up after its message completes and reuses
 /// it if the very next message from that source has the same destination --
 /// the "established connections are repeatedly used" regime of Section 1.
@@ -62,39 +66,38 @@ class CircuitNetwork final : public Network {
     std::optional<NodeId> held_circuit;
     /// Head message waits for this NIC's own dead cable to be repaired.
     bool waiting_repair = false;
-    // --- Lossy control channel only ---------------------------------------
+    // --- Handshake (both modes) -------------------------------------------
     /// Request sent, grant not yet received (the NIC is blocked on it).
     bool waiting_grant = false;
-    std::size_t attempts = 1;            ///< watchdog backoff level
-    EventId watchdog = 0;                ///< 0 = unarmed
     std::uint32_t pending_request = 0;   ///< request messages in flight
     std::uint32_t pending_grant = 0;     ///< grant messages in flight
+    // --- Healing only (read by the watchdog) -------------------------------
+    std::size_t attempts = 1;            ///< watchdog backoff level
+    EventId watchdog = 0;                ///< 0 = unarmed
   };
 
   struct OutputState {
     bool busy = false;
     std::deque<NodeId> waiters;
-    // --- Lossy control channel only ---------------------------------------
-    /// Source the scheduler granted this output to (its lease subject).
+    // --- Handshake (both modes) -------------------------------------------
+    /// Source the scheduler granted this output to.
     std::optional<NodeId> holder;
+    std::uint32_t pending_release = 0;   ///< release messages in flight
+    // --- Healing only (read by the lease) ---------------------------------
     TimeNs last_activity{};              ///< backs the idle-hold lease
     std::uint64_t lease_seq = 0;         ///< invalidates stale lease checks
-    std::uint32_t pending_release = 0;   ///< release messages in flight
   };
 
   void start_next_message(NodeId src);
-  /// Request reaches the scheduler (lossless control wire).
-  void request_arrived(NodeId src);
-  /// Lossy-channel variant: `dst` is the destination the request was sent
-  /// for, so a delayed duplicate cannot grab an output the source no longer
-  /// wants.
-  void request_arrived_ctrl(NodeId src, NodeId dst);
-  /// Allocate output `out` to `src` (sets the holder/lease under the lossy
-  /// channel) and send the grant.
+  /// A request for `dst` reaches the scheduler. `dst` is the destination
+  /// the request was sent for, so a delayed duplicate cannot grab an output
+  /// the source no longer wants.
+  void request_arrived(NodeId src, NodeId dst);
+  /// Allocate output `out` to `src` and send the grant.
   void grant_to(NodeId out, NodeId src);
-  /// Scheduler granted the circuit; grant is on its way back to the NIC.
-  void grant_circuit(NodeId src);
-  /// Grant arrived; transmit the message over the dedicated pipe.
+  /// The grant for `dst` reached the NIC; transmit the message.
+  void grant_arrived(NodeId src, NodeId dst);
+  /// Transmit the active message over the dedicated pipe.
   void transmit(NodeId src);
   /// Source finished transmitting; tear down or hold the circuit.
   void send_complete(NodeId src);
@@ -111,16 +114,17 @@ class CircuitNetwork final : public Network {
   /// change that breaks that bound into a loud failure instead of silent
   /// queue growth.
   bool enqueue_waiter(NodeId out, NodeId src);
-  /// Route a teardown notice over the (possibly lossy) control wire.
-  void schedule_release(NodeId out);
   /// Fault reaction: poison in-flight transfers, drop held circuits on the
   /// dead link, resume stalled sources/waiters on repair.
   void on_link_change(NodeId node, bool up);
 
-  // --- Lossy control channel only -----------------------------------------
+  // --- Control messages, all through wire_ --------------------------------
   void send_request(NodeId src, NodeId dst, TimeNs latency);
-  void send_grant_msg(NodeId src, NodeId dst);
-  void grant_arrived(NodeId src, NodeId dst);
+  void send_grant(NodeId src, NodeId dst);
+  /// Send a teardown notice for output `out`.
+  void send_release(NodeId out);
+
+  // --- Healing (lossy channel only) ---------------------------------------
   void arm_watchdog(NodeId src);
   void on_watchdog(NodeId src);
   /// Arm (or re-arm) the idle-hold lease on output `out`.
@@ -130,8 +134,9 @@ class CircuitNetwork final : public Network {
   Options options_;
   std::vector<SourceState> sources_;
   std::vector<OutputState> outputs_;
-  /// Bumped by resync_control(); in-flight control events go inert.
-  std::uint64_t ctrl_epoch_ = 0;
+  /// Carries every request, grant, revoke and teardown notice and the
+  /// watchdogs; resync_control() bumps its epoch.
+  ControlWire wire_;
   // Per-request counters bump through slots, with no name lookup.
   CounterSet::Slot circuits_established_slot_{"circuits_established"};
   CounterSet::Slot circuit_waits_slot_{"circuit_waits"};

@@ -16,7 +16,7 @@ void SystemParams::validate() const {
   PMX_CHECK(slot_payload_bytes() > 0,
             "slot data window carries no payload at this link rate");
   PMX_CHECK(mux_degree >= 1, "multiplexing degree must be at least 1");
-  PMX_CHECK(flit_bytes > 0 && max_worm_bytes >= flit_bytes,
+  PMX_CHECK(max_worm_bytes >= kFlitBytes,
             "worm limit must fit at least one flit");
   fault.validate(num_nodes);
   ctrl.validate(slot_length);

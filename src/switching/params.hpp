@@ -13,6 +13,9 @@
 
 namespace pmx {
 
+/// Wormhole flit size: 8-byte flits.
+inline constexpr std::uint64_t kFlitBytes = 8;
+
 /// All timing constants of the evaluated system (Section 5 of the paper),
 /// in one place. The defaults reproduce the paper's 128-processor setup.
 struct SystemParams {
@@ -44,8 +47,7 @@ struct SystemParams {
   /// degree). Figure 4 uses 4; Figure 5 uses 3.
   std::size_t mux_degree = 4;
 
-  /// Wormhole parameters: 8-byte flits, worms limited to 128 bytes.
-  std::uint64_t flit_bytes = 8;
+  /// Wormhole worms are limited to 128 bytes (kFlitBytes-byte flits).
   std::uint64_t max_worm_bytes = 128;
 
   /// Fault injection and NIC retransmission. All rates default to zero, in

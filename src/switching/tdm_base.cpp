@@ -19,8 +19,7 @@ TdmNetworkBase::TdmNetworkBase(Simulator& sim, const SystemParams& params,
         sim, *control_fault(),
         ControlPlane::Options{.num_nodes = params.num_nodes,
                               .wire_latency = params.control_wire_latency(),
-                              .grant_line = grant_line,
-                              .heal = params.ctrl.heal},
+                              .grant_line = grant_line},
         counters(),
         [this](NodeId u, NodeId v, bool value) { apply_request(u, v, value); });
   }

@@ -1,14 +1,18 @@
 // Unit tests of the control-plane fault injector: ControlFaultParams
 // validation (fail fast on nonsensical knobs), seed determinism of the
 // verdict stream, scripted force_* overrides, the watchdog backoff curve,
-// and the zero-rate timing-neutrality guarantee.
+// and the zero-rate timing-neutrality guarantee. ControlWire.* covers the
+// one send path every control message takes: lossless delivery, drops, the
+// epoch guard on messages and timers, and the healing/lease answers.
 
 #include "fault/control_fault.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "common/stats.hpp"
 #include "sim/simulator.hpp"
 
 namespace pmx {
@@ -175,6 +179,126 @@ TEST(ControlFaultModel, WatchdogBackoffDoublesToCap) {
   EXPECT_EQ(cf.watchdog_delay(6), TimeNs{16'000});
   EXPECT_EQ(cf.watchdog_delay(7), TimeNs{16'000});   // capped
   EXPECT_EQ(cf.watchdog_delay(40), TimeNs{16'000});  // no overflow
+}
+
+TEST(ControlWire, LosslessSendRunsExactlyLatencyLater) {
+  Simulator sim;
+  CounterSet counters;
+  ControlWire wire(sim, nullptr, counters);
+  std::uint32_t inflight = 0;
+  std::vector<TimeNs> ran;
+  EXPECT_TRUE(wire.send(CtrlMsg::kRequest, TimeNs{80}, &inflight, [&] {
+    ran.push_back(sim.now());
+    EXPECT_EQ(inflight, 0u);  // the count drops before the callback runs
+  }));
+  EXPECT_EQ(inflight, 1u);
+  sim.run_until(1_us);
+  ASSERT_EQ(ran.size(), 1u);
+  EXPECT_EQ(ran[0], TimeNs{80});
+  EXPECT_EQ(inflight, 0u);
+  EXPECT_EQ(counters.value("ctrl_stale"), 0u);
+}
+
+TEST(ControlWire, ForcedDropReturnsFalseAndCountsNothingInFlight) {
+  Simulator sim;
+  CounterSet counters;
+  ControlFaultParams p;
+  p.force_enable = true;
+  ControlFaultModel cf(sim, p, kSlot);
+  ControlWire wire(sim, &cf, counters);
+  cf.force_drop(CtrlMsg::kGrant, 1);
+  std::uint32_t inflight = 0;
+  bool ran = false;
+  EXPECT_FALSE(
+      wire.send(CtrlMsg::kGrant, TimeNs{80}, &inflight, [&] { ran = true; }));
+  EXPECT_EQ(inflight, 0u);
+  sim.run_until(1_us);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(cf.stats(CtrlMsg::kGrant).dropped, 1u);
+}
+
+TEST(ControlWire, MessageInFlightAcrossEpochBumpIsVoid) {
+  Simulator sim;
+  CounterSet counters;
+  ControlFaultParams p;
+  p.force_enable = true;
+  ControlFaultModel cf(sim, p, kSlot);
+  ControlWire wire(sim, &cf, counters);
+  std::uint32_t inflight = 0;
+  int ran = 0;
+  EXPECT_TRUE(
+      wire.send(CtrlMsg::kRelease, TimeNs{80}, &inflight, [&] { ++ran; }));
+  wire.bump_epoch();
+  // Sent under the new epoch: delivered normally.
+  EXPECT_TRUE(
+      wire.send(CtrlMsg::kRelease, TimeNs{80}, nullptr, [&] { ran += 10; }));
+  sim.run_until(1_us);
+  EXPECT_EQ(ran, 10);
+  EXPECT_EQ(counters.value("ctrl_stale"), 1u);
+  // The void message leaves its count for the caller's resync to clear.
+  EXPECT_EQ(inflight, 1u);
+}
+
+TEST(ControlWire, TimerArmedBeforeBumpDoesNotFire) {
+  Simulator sim;
+  CounterSet counters;
+  ControlWire wire(sim, nullptr, counters);
+  wire.jump_epoch(~std::uint64_t{0});  // the bump wraps to zero
+  bool before = false;
+  bool after = false;
+  wire.arm(TimeNs{500}, [&] { before = true; });
+  wire.bump_epoch();
+  EXPECT_EQ(wire.epoch(), 0u);
+  wire.arm(TimeNs{500}, [&] { after = true; });
+  sim.run_until(1_us);
+  EXPECT_FALSE(before);
+  EXPECT_TRUE(after);
+  EXPECT_EQ(counters.value("ctrl_stale"), 0u);  // timers are not messages
+}
+
+TEST(ControlWire, NullInFlightCountIsAccepted) {
+  Simulator sim;
+  CounterSet counters;
+  ControlWire wire(sim, nullptr, counters);
+  int ran = 0;
+  EXPECT_TRUE(wire.send(CtrlMsg::kGrant, TimeNs{0}, nullptr, [&] { ++ran; }));
+  EXPECT_TRUE(wire.send(CtrlMsg::kGrant, TimeNs{10}, nullptr, [&] { ++ran; }));
+  wire.bump_epoch();
+  sim.run_until(1_us);
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(counters.value("ctrl_stale"), 2u);
+  EXPECT_TRUE(wire.send(CtrlMsg::kGrant, TimeNs{10}, nullptr, [&] { ++ran; }));
+  sim.run_until(2_us);
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(ControlWire, HealingAndLeaseFollowTheModel) {
+  Simulator sim;
+  CounterSet counters;
+  const ControlWire lossless(sim, nullptr, counters);
+  EXPECT_FALSE(lossless.healing());
+  EXPECT_FALSE(lossless.lease_active());
+
+  ControlFaultParams p;
+  p.force_enable = true;
+  p.heal = false;
+  ControlFaultModel no_heal(sim, p, kSlot);
+  const ControlWire off(sim, &no_heal, counters);
+  EXPECT_FALSE(off.healing());
+  EXPECT_FALSE(off.lease_active());
+
+  p.heal = true;
+  p.lease = TimeNs::zero();
+  ControlFaultModel no_lease(sim, p, kSlot);
+  const ControlWire heal_only(sim, &no_lease, counters);
+  EXPECT_TRUE(heal_only.healing());
+  EXPECT_FALSE(heal_only.lease_active());
+
+  p.lease = TimeNs{5'000};
+  ControlFaultModel both(sim, p, kSlot);
+  const ControlWire on(sim, &both, counters);
+  EXPECT_TRUE(on.healing());
+  EXPECT_TRUE(on.lease_active());
 }
 
 }  // namespace

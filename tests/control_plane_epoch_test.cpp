@@ -44,7 +44,7 @@ struct PlaneHarness {
         plane(sim, ctrl,
               ControlPlane::Options{/*num_nodes=*/4,
                                     /*wire_latency=*/TimeNs{80},
-                                    /*grant_line=*/true, /*heal=*/true},
+                                    /*grant_line=*/true},
               counters, [this](NodeId, NodeId, bool value) {
                 value ? ++requests : ++releases;
               }) {}

@@ -15,7 +15,6 @@ TEST(SystemParams, PaperDefaults) {
   EXPECT_EQ(p.scheduler_latency, 80_ns);
   EXPECT_EQ(p.slot_length, 100_ns);
   EXPECT_EQ(p.mux_degree, 4u);
-  EXPECT_EQ(p.flit_bytes, 8u);
   EXPECT_EQ(p.max_worm_bytes, 128u);
   p.validate();  // must not abort
 }
