@@ -1,10 +1,11 @@
-// Ablation A4: crossbar vs Omega multistage fabric.
+// Ablation A4: crossbar vs Omega multistage vs oversubscribed fat tree.
 //
 // Section 4 notes the fabric can be a multistage network at the price of
-// "limited permutation capabilities". This harness quantifies that price:
-// the multiplexing degree each fabric needs to realize a working set
-// without conflict, and the end-to-end preloaded-TDM efficiency when the
-// compiled plan respects the Omega constraints (same slot count K).
+// "limited permutation capabilities", or a fat tree with fewer spines than
+// leaf ports. This harness quantifies that price: the multiplexing degree
+// each fabric needs to realize a working set without conflict, and the
+// end-to-end preloaded-TDM efficiency when the compiled plan respects the
+// Omega or fat-tree constraints (same slot count K).
 //
 // Usage: bench_ablation_fabric [--nodes N] [--bytes B] [--jobs J]
 

@@ -17,6 +17,51 @@ void check_conns(std::size_t n, const std::vector<Conn>& conns) {
   }
 }
 
+/// The crossbar constrains only ports, which first_fit tracks itself.
+struct CrossbarSlot {
+  [[nodiscard]] bool admits(const Conn& /*c*/) const { return true; }
+  void add(const Conn& /*c*/) {}
+};
+
+/// Greedy first-fit: each connection joins the first configuration whose
+/// input and output ports are free and whose fabric slot admits it, and
+/// opens a new configuration, with a copy of `empty` as its slot, when none
+/// does.
+template <typename Slot>
+Decomposition first_fit(std::size_t n, const std::vector<Conn>& conns,
+                        const Slot& empty) {
+  check_conns(n, conns);
+  Decomposition result;
+  result.color_of.assign(conns.size(), kNone);
+  std::vector<BitVector> out_used;  // per config: inputs in use
+  std::vector<BitVector> in_used;   // per config: outputs in use
+  std::vector<Slot> slots;          // per config: the fabric's own state
+  for (std::size_t e = 0; e < conns.size(); ++e) {
+    const Conn& c = conns[e];
+    std::size_t chosen = kNone;
+    for (std::size_t s = 0; s < result.configs.size(); ++s) {
+      if (!out_used[s].get(c.src) && !in_used[s].get(c.dst) &&
+          slots[s].admits(c)) {
+        chosen = s;
+        break;
+      }
+    }
+    if (chosen == kNone) {
+      chosen = result.configs.size();
+      result.configs.emplace_back(n);
+      out_used.emplace_back(n);
+      in_used.emplace_back(n);
+      slots.push_back(empty);
+    }
+    result.configs[chosen].set(c.src, c.dst);
+    out_used[chosen].set(c.src);
+    in_used[chosen].set(c.dst);
+    slots[chosen].add(c);
+    result.color_of[e] = chosen;
+  }
+  return result;
+}
+
 }  // namespace
 
 std::size_t working_set_degree(std::size_t n, const std::vector<Conn>& conns) {
@@ -135,30 +180,26 @@ Decomposition decompose_optimal(std::size_t n, const std::vector<Conn>& conns) {
 }
 
 Decomposition decompose_greedy(std::size_t n, const std::vector<Conn>& conns) {
-  check_conns(n, conns);
-  Decomposition result;
-  result.color_of.assign(conns.size(), kNone);
-  std::vector<BitVector> out_used;  // per config: inputs in use
-  std::vector<BitVector> in_used;   // per config: outputs in use
-  for (std::size_t e = 0; e < conns.size(); ++e) {
-    const Conn& c = conns[e];
-    std::size_t slot = kNone;
-    for (std::size_t s = 0; s < result.configs.size(); ++s) {
-      if (!out_used[s].get(c.src) && !in_used[s].get(c.dst)) {
-        slot = s;
-        break;
-      }
-    }
-    if (slot == kNone) {
-      slot = result.configs.size();
-      result.configs.emplace_back(n);
-      out_used.emplace_back(n);
-      in_used.emplace_back(n);
-    }
-    result.configs[slot].set(c.src, c.dst);
-    out_used[slot].set(c.src);
-    in_used[slot].set(c.dst);
-    result.color_of[e] = slot;
+  return first_fit(n, conns, CrossbarSlot{});
+}
+
+Decomposition decompose_greedy(const OmegaNetwork& omega,
+                               const std::vector<Conn>& conns) {
+  Decomposition result =
+      first_fit(omega.size(), conns, OmegaNetwork::Slot(omega));
+  for (const auto& cfg : result.configs) {
+    PMX_CHECK(omega.routable(cfg),
+              "omega decomposition produced a blocked configuration");
+  }
+  return result;
+}
+
+Decomposition decompose_greedy(const FatTree& tree,
+                               const std::vector<Conn>& conns) {
+  Decomposition result = first_fit(tree.size(), conns, FatTree::Slot(tree));
+  for (const auto& cfg : result.configs) {
+    PMX_CHECK(tree.routable(cfg),
+              "fat-tree decomposition produced an over-capacity config");
   }
   return result;
 }

@@ -5,6 +5,8 @@
 
 #include "common/bitmatrix.hpp"
 #include "common/message.hpp"
+#include "fabric/fattree.hpp"
+#include "fabric/omega.hpp"
 
 namespace pmx {
 
@@ -31,10 +33,17 @@ struct Decomposition {
                                               const std::vector<Conn>& conns);
 
 /// First-fit greedy decomposition: assign each connection to the first slot
-/// where both ports are free, opening a new slot when none fits. Simpler
-/// hardware/runtime, may use up to 2*degree-1 configurations. Kept as the
-/// baseline for the decomposition ablation.
+/// where both ports are free and, on an Omega network or a fat tree, the
+/// fabric's `Slot` admits it; open a new slot when none fits. On a crossbar
+/// it may use up to 2*degree-1 configurations and is the baseline for the
+/// decomposition ablation. On the other fabrics the result's size is the
+/// multiplexing degree that fabric needs for the working set; a fat tree
+/// with as many spines as leaf ports gives the crossbar's result.
 [[nodiscard]] Decomposition decompose_greedy(std::size_t n,
+                                             const std::vector<Conn>& conns);
+[[nodiscard]] Decomposition decompose_greedy(const OmegaNetwork& omega,
+                                             const std::vector<Conn>& conns);
+[[nodiscard]] Decomposition decompose_greedy(const FatTree& tree,
                                              const std::vector<Conn>& conns);
 
 }  // namespace pmx

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -18,7 +19,7 @@ std::uint64_t pair_key(NodeId src, NodeId dst) {
 std::size_t CompiledPlan::max_degree() const {
   std::size_t degree = 0;
   for (const auto& phase : phases) {
-    degree = std::max(degree, phase.degree);
+    degree = std::max(degree, phase.configs.size());
   }
   return degree;
 }
@@ -68,16 +69,15 @@ CompiledPlan assemble(const Workload& workload, DecomposeFn&& decompose) {
   for (std::size_t p = 0; p < plan.phases.size(); ++p) {
     PhasePlan& phase = plan.phases[p];
     const auto& conns = traffic.conns[p];
-    const auto [configs, color_of] = decompose(conns);
-    PMX_CHECK(configs.size() < PhasePlan::kNoPair,
+    Decomposition d = decompose(conns);
+    PMX_CHECK(d.configs.size() < PhasePlan::kNoPair,
               "phase needs more configurations than a 16-bit index holds");
-    phase.configs = configs;
-    phase.degree = configs.size();
+    phase.configs = std::move(d.configs);
     phase.config_bytes.assign(phase.configs.size(), 0);
     phase.num_nodes = n;
     phase.pair_to_config.assign(n * n, PhasePlan::kNoPair);
     for (std::size_t e = 0; e < conns.size(); ++e) {
-      const std::size_t color = color_of[e];
+      const std::size_t color = d.color_of[e];
       const std::uint64_t key = pair_key(conns[e].src, conns[e].dst);
       phase.pair_to_config[conns[e].src * n + conns[e].dst] =
           static_cast<std::uint16_t>(color);
@@ -87,35 +87,33 @@ CompiledPlan assemble(const Workload& workload, DecomposeFn&& decompose) {
   return plan;
 }
 
+/// Greedy first-fit on `fabric` for every phase.
+template <typename Fabric>
+CompiledPlan compile_on(const Workload& workload, const Fabric& fabric) {
+  PMX_CHECK(fabric.size() == workload.num_nodes(),
+            "fabric and workload disagree on node count");
+  return assemble(workload, [&](const std::vector<Conn>& conns) {
+    return decompose_greedy(fabric, conns);
+  });
+}
+
 }  // namespace
 
 CompiledPlan compile_workload(const Workload& workload, bool optimal) {
   const std::size_t n = workload.num_nodes();
   return assemble(workload, [&](const std::vector<Conn>& conns) {
-    const Decomposition d =
-        optimal ? decompose_optimal(n, conns) : decompose_greedy(n, conns);
-    return std::make_pair(d.configs, d.color_of);
+    return optimal ? decompose_optimal(n, conns) : decompose_greedy(n, conns);
   });
 }
 
 CompiledPlan compile_workload_omega(const Workload& workload,
                                     const OmegaNetwork& omega) {
-  PMX_CHECK(omega.size() == workload.num_nodes(),
-            "omega network and workload disagree on node count");
-  return assemble(workload, [&](const std::vector<Conn>& conns) {
-    const OmegaDecomposition d = decompose_omega(omega, conns);
-    return std::make_pair(d.configs, d.color_of);
-  });
+  return compile_on(workload, omega);
 }
 
 CompiledPlan compile_workload_fattree(const Workload& workload,
                                       const FatTree& tree) {
-  PMX_CHECK(tree.size() == workload.num_nodes(),
-            "fat tree and workload disagree on node count");
-  return assemble(workload, [&](const std::vector<Conn>& conns) {
-    const FatTreeDecomposition d = decompose_fattree(tree, conns);
-    return std::make_pair(d.configs, d.color_of);
-  });
+  return compile_on(workload, tree);
 }
 
 }  // namespace pmx

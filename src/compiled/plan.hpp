@@ -38,8 +38,6 @@ struct PhasePlan {
   /// pair outside W^(j).
   std::vector<std::uint16_t> pair_to_config;
   std::size_t num_nodes = 0;
-  /// The phase's multiplexing requirement (max port degree of W^(j)).
-  std::size_t degree = 0;
 };
 
 /// Whole-program compiled plan: one PhasePlan per phase, in order.
@@ -51,7 +49,8 @@ struct CompiledPlan {
   std::vector<PhasePlan> phases;
 
   [[nodiscard]] std::size_t num_phases() const { return phases.size(); }
-  /// Largest per-phase multiplexing requirement.
+  /// Largest per-phase multiplexing requirement: the most configurations
+  /// any phase needs.
   [[nodiscard]] std::size_t max_degree() const;
 };
 

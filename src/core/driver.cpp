@@ -68,7 +68,6 @@ void TrafficDriver::issue_next(NodeId u) {
           // advancing its program counter; the stall time is the
           // backpressure overload metric.
           const TimeNs stall = network_.params().slot_length;
-          backpressure_stall_ += stall;
           network_.counters().counter("backpressure_stall_ns") +=
               static_cast<std::uint64_t>(stall.ns());
           sim_.schedule_after(stall, [this, u] { issue_next(u); });

@@ -42,13 +42,6 @@ class TrafficDriver {
   [[nodiscard]] std::size_t messages_delivered() const { return delivered_; }
   /// Messages the reliability layer gave up on (retry budget exhausted).
   [[nodiscard]] std::size_t messages_dropped() const { return dropped_; }
-  /// Messages the admission controller shed under overload.
-  [[nodiscard]] std::size_t messages_shed() const { return shed_; }
-  /// Time processors spent stalled in backpressured sends (summed across
-  /// nodes; only nonzero under ShedPolicy::kBackpressure).
-  [[nodiscard]] TimeNs backpressure_stall() const {
-    return backpressure_stall_;
-  }
   [[nodiscard]] std::size_t current_phase(NodeId u) const { return phase_[u]; }
 
  private:
@@ -71,7 +64,6 @@ class TrafficDriver {
   std::size_t delivered_ = 0;
   std::size_t dropped_ = 0;
   std::size_t shed_ = 0;
-  TimeNs backpressure_stall_{};
   bool finished_ = false;
 };
 

@@ -1,9 +1,24 @@
 #include "fabric/fattree.hpp"
 
 #include "common/assert.hpp"
-#include "common/bitvector.hpp"
 
 namespace pmx {
+
+FatTree::Slot::Slot(const FatTree& tree)
+    : tree_(&tree), up_(tree.num_leaves(), 0), down_(tree.num_leaves(), 0) {}
+
+bool FatTree::Slot::admits(const Conn& c) const {
+  return tree_->is_local(c) ||
+         (up_[tree_->leaf_of(c.src)] < tree_->num_spines() &&
+          down_[tree_->leaf_of(c.dst)] < tree_->num_spines());
+}
+
+void FatTree::Slot::add(const Conn& c) {
+  if (!tree_->is_local(c)) {
+    ++up_[tree_->leaf_of(c.src)];
+    ++down_[tree_->leaf_of(c.dst)];
+  }
+}
 
 FatTree::FatTree(std::size_t num_leaves, std::size_t leaf_ports,
                  std::size_t num_spines)
@@ -19,82 +34,18 @@ bool FatTree::routable(const BitMatrix& config) const {
   PMX_CHECK(config.is_partial_permutation(),
             "fat-tree routability is checked on top of the crossbar "
             "constraint");
-  std::vector<std::size_t> up(num_leaves_, 0);
-  std::vector<std::size_t> down(num_leaves_, 0);
+  Slot slot(*this);
   for (std::size_t u = 0; u < size(); ++u) {
-    const std::size_t v = config.row(u).find_first();
-    if (v >= size()) {
+    const Conn c{u, config.row(u).find_first()};
+    if (c.dst >= size()) {
       continue;
     }
-    const std::size_t src_leaf = leaf_of(u);
-    const std::size_t dst_leaf = leaf_of(v);
-    if (src_leaf == dst_leaf) {
-      continue;  // stays inside the leaf switch
-    }
-    if (++up[src_leaf] > num_spines_ || ++down[dst_leaf] > num_spines_) {
+    if (!slot.admits(c)) {
       return false;
     }
+    slot.add(c);
   }
   return true;
-}
-
-FatTreeDecomposition decompose_fattree(const FatTree& tree,
-                                       const std::vector<Conn>& conns) {
-  const std::size_t n = tree.size();
-  FatTreeDecomposition result;
-  result.color_of.assign(conns.size(), static_cast<std::size_t>(-1));
-
-  struct Slot {
-    BitVector in_used;
-    BitVector out_used;
-    std::vector<std::size_t> up;
-    std::vector<std::size_t> down;
-  };
-  std::vector<Slot> slots;
-
-  for (std::size_t e = 0; e < conns.size(); ++e) {
-    const Conn& c = conns[e];
-    PMX_CHECK(c.src < n && c.dst < n, "connection endpoint out of range");
-    const std::size_t src_leaf = tree.leaf_of(c.src);
-    const std::size_t dst_leaf = tree.leaf_of(c.dst);
-    const bool local = src_leaf == dst_leaf;
-
-    std::size_t chosen = static_cast<std::size_t>(-1);
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      Slot& slot = slots[s];
-      if (slot.in_used.get(c.src) || slot.out_used.get(c.dst)) {
-        continue;
-      }
-      if (!local && (slot.up[src_leaf] >= tree.num_spines() ||
-                     slot.down[dst_leaf] >= tree.num_spines())) {
-        continue;
-      }
-      chosen = s;
-      break;
-    }
-    if (chosen == static_cast<std::size_t>(-1)) {
-      chosen = slots.size();
-      slots.push_back(Slot{BitVector(n), BitVector(n),
-                           std::vector<std::size_t>(tree.num_leaves(), 0),
-                           std::vector<std::size_t>(tree.num_leaves(), 0)});
-      result.configs.emplace_back(n);
-    }
-    Slot& slot = slots[chosen];
-    slot.in_used.set(c.src);
-    slot.out_used.set(c.dst);
-    if (!local) {
-      ++slot.up[src_leaf];
-      ++slot.down[dst_leaf];
-    }
-    result.configs[chosen].set(c.src, c.dst);
-    result.color_of[e] = chosen;
-  }
-
-  for (const auto& cfg : result.configs) {
-    PMX_CHECK(tree.routable(cfg),
-              "fat-tree decomposition produced an over-capacity config");
-  }
-  return result;
 }
 
 }  // namespace pmx

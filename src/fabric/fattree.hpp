@@ -26,6 +26,25 @@ namespace pmx {
 /// is rearrangeably non-blocking).
 class FatTree {
  public:
+  /// The fat-tree constraint of one configuration: inter-leaf connections
+  /// per leaf, up and down. The crossbar's port constraint is the caller's
+  /// to check. Must not outlive the tree it was made for.
+  class Slot {
+   public:
+    explicit Slot(const FatTree& tree);
+
+    /// True when `c` stays inside its leaf switch, or its source leaf has
+    /// an uplink and its destination leaf a downlink to spare.
+    [[nodiscard]] bool admits(const Conn& c) const;
+    /// Take `c`'s uplink and downlink, if it leaves its leaf.
+    void add(const Conn& c);
+
+   private:
+    const FatTree* tree_;
+    std::vector<std::size_t> up_;    ///< per leaf: uplinks in use
+    std::vector<std::size_t> down_;  ///< per leaf: downlinks in use
+  };
+
   FatTree(std::size_t num_leaves, std::size_t leaf_ports,
           std::size_t num_spines);
 
@@ -56,20 +75,5 @@ class FatTree {
   std::size_t leaf_ports_;
   std::size_t num_spines_;
 };
-
-/// Decompose a connection set into fat-tree-realizable configurations
-/// (greedy first-fit over leaf capacities). With num_spines == leaf_ports
-/// (full bisection) this matches the crossbar's greedy decomposition; with
-/// oversubscription it needs proportionally more configurations for
-/// inter-leaf-heavy working sets.
-struct FatTreeDecomposition {
-  std::vector<BitMatrix> configs;
-  std::vector<std::size_t> color_of;
-
-  [[nodiscard]] std::size_t degree() const { return configs.size(); }
-};
-
-[[nodiscard]] FatTreeDecomposition decompose_fattree(
-    const FatTree& tree, const std::vector<Conn>& conns);
 
 }  // namespace pmx

@@ -3,9 +3,30 @@
 #include <bit>
 
 #include "common/assert.hpp"
-#include "common/bitvector.hpp"
 
 namespace pmx {
+
+OmegaNetwork::Slot::Slot(const OmegaNetwork& omega)
+    : omega_(&omega), used_(omega.stages(), BitVector(omega.size())) {}
+
+bool OmegaNetwork::Slot::admits(const Conn& c) const {
+  std::size_t line = c.src;
+  for (std::size_t s = 0; s < used_.size(); ++s) {
+    line = omega_->next_line(line, c.dst, s);
+    if (used_[s].get(line)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void OmegaNetwork::Slot::add(const Conn& c) {
+  std::size_t line = c.src;
+  for (std::size_t s = 0; s < used_.size(); ++s) {
+    line = omega_->next_line(line, c.dst, s);
+    used_[s].set(line);
+  }
+}
 
 OmegaNetwork::OmegaNetwork(std::size_t n)
     : n_(n), stages_(static_cast<std::size_t>(std::countr_zero(n))) {
@@ -13,20 +34,20 @@ OmegaNetwork::OmegaNetwork(std::size_t n)
             "Omega network size must be a power of two");
 }
 
-std::size_t OmegaNetwork::line_after_stage(std::size_t src, std::size_t dst,
-                                           std::size_t stage) const {
-  PMX_CHECK(src < n_ && dst < n_, "port out of range");
-  PMX_CHECK(stage < stages_, "stage out of range");
+std::size_t OmegaNetwork::next_line(std::size_t line, std::size_t dst,
+                                    std::size_t stage) const {
   // Destination-tag self-routing: before each stage the lines are
   // perfect-shuffled (rotate-left of the line index), then the 2x2 switch
   // outputs the line whose LSB is the destination bit consumed at that
   // stage (MSB first).
-  std::size_t line = src;
-  for (std::size_t s = 0; s <= stage; ++s) {
-    const std::size_t dst_bit = (dst >> (stages_ - 1 - s)) & 1;
-    line = ((line << 1) & (n_ - 1)) | dst_bit;
-  }
-  return line;
+  return ((line << 1) & (n_ - 1)) | ((dst >> (stages_ - 1 - stage)) & 1);
+}
+
+std::size_t OmegaNetwork::line_after_stage(std::size_t src, std::size_t dst,
+                                           std::size_t stage) const {
+  PMX_CHECK(src < n_ && dst < n_, "port out of range");
+  PMX_CHECK(stage < stages_, "stage out of range");
+  return route(src, dst)[stage];
 }
 
 std::vector<std::size_t> OmegaNetwork::route(std::size_t src,
@@ -34,8 +55,7 @@ std::vector<std::size_t> OmegaNetwork::route(std::size_t src,
   std::vector<std::size_t> lines(stages_);
   std::size_t line = src;
   for (std::size_t s = 0; s < stages_; ++s) {
-    const std::size_t dst_bit = (dst >> (stages_ - 1 - s)) & 1;
-    line = ((line << 1) & (n_ - 1)) | dst_bit;
+    line = next_line(line, dst, s);
     lines[s] = line;
   }
   PMX_CHECK(lines.back() == dst, "destination-tag routing must end at dst");
@@ -43,99 +63,27 @@ std::vector<std::size_t> OmegaNetwork::route(std::size_t src,
 }
 
 bool OmegaNetwork::conflict(const Conn& a, const Conn& b) const {
-  // The last stage's line equals the destination, so distinct destinations
-  // can only collide at stages 0..stages-2; identical destinations always
-  // collide (and are already excluded by the crossbar constraint).
-  std::size_t line_a = a.src;
-  std::size_t line_b = b.src;
-  for (std::size_t s = 0; s < stages_; ++s) {
-    line_a = ((line_a << 1) & (n_ - 1)) | ((a.dst >> (stages_ - 1 - s)) & 1);
-    line_b = ((line_b << 1) & (n_ - 1)) | ((b.dst >> (stages_ - 1 - s)) & 1);
-    if (line_a == line_b) {
-      return true;
-    }
-  }
-  return false;
+  Slot slot(*this);
+  slot.add(a);
+  return !slot.admits(b);
 }
 
 bool OmegaNetwork::routable(const BitMatrix& config) const {
   PMX_CHECK(config.size() == n_, "configuration size mismatch");
   PMX_CHECK(config.is_partial_permutation(),
             "Omega routability is checked on top of the crossbar constraint");
-  // Occupancy bitmaps, one per stage.
-  std::vector<BitVector> used(stages_, BitVector(n_));
+  Slot slot(*this);
   for (std::size_t u = 0; u < n_; ++u) {
-    const std::size_t v = config.row(u).find_first();
-    if (v >= n_) {
+    const Conn c{u, config.row(u).find_first()};
+    if (c.dst >= n_) {
       continue;
     }
-    std::size_t line = u;
-    for (std::size_t s = 0; s < stages_; ++s) {
-      line = ((line << 1) & (n_ - 1)) | ((v >> (stages_ - 1 - s)) & 1);
-      if (used[s].get(line)) {
-        return false;
-      }
-      used[s].set(line);
+    if (!slot.admits(c)) {
+      return false;
     }
+    slot.add(c);
   }
   return true;
-}
-
-OmegaDecomposition decompose_omega(const OmegaNetwork& omega,
-                                   const std::vector<Conn>& conns) {
-  const std::size_t n = omega.size();
-  const std::size_t stages = omega.stages();
-  OmegaDecomposition result;
-  result.color_of.assign(conns.size(), static_cast<std::size_t>(-1));
-
-  // Per config: per-stage line occupancy plus crossbar port occupancy.
-  struct Slot {
-    std::vector<BitVector> lines;
-    BitVector in_used;
-    BitVector out_used;
-  };
-  std::vector<Slot> slots;
-
-  for (std::size_t e = 0; e < conns.size(); ++e) {
-    const Conn& c = conns[e];
-    PMX_CHECK(c.src < n && c.dst < n, "connection endpoint out of range");
-    const auto lines = omega.route(c.src, c.dst);
-    std::size_t chosen = static_cast<std::size_t>(-1);
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      Slot& slot = slots[s];
-      if (slot.in_used.get(c.src) || slot.out_used.get(c.dst)) {
-        continue;
-      }
-      bool free = true;
-      for (std::size_t st = 0; st < stages && free; ++st) {
-        free = !slot.lines[st].get(lines[st]);
-      }
-      if (free) {
-        chosen = s;
-        break;
-      }
-    }
-    if (chosen == static_cast<std::size_t>(-1)) {
-      chosen = slots.size();
-      slots.push_back(Slot{std::vector<BitVector>(stages, BitVector(n)),
-                           BitVector(n), BitVector(n)});
-      result.configs.emplace_back(n);
-    }
-    Slot& slot = slots[chosen];
-    for (std::size_t st = 0; st < stages; ++st) {
-      slot.lines[st].set(lines[st]);
-    }
-    slot.in_used.set(c.src);
-    slot.out_used.set(c.dst);
-    result.configs[chosen].set(c.src, c.dst);
-    result.color_of[e] = chosen;
-  }
-
-  for (const auto& cfg : result.configs) {
-    PMX_CHECK(omega.routable(cfg), "omega decomposition produced a blocked "
-                                   "configuration");
-  }
-  return result;
 }
 
 }  // namespace pmx

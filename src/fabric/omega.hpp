@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "common/bitmatrix.hpp"
+#include "common/bitvector.hpp"
 #include "common/message.hpp"
 
 namespace pmx {
@@ -22,10 +22,28 @@ namespace pmx {
 /// A configuration is realizable exactly when no two connections share an
 /// internal line at any stage. Because the Omega network is blocking, a
 /// partial permutation that a crossbar realizes in one slot may need
-/// several slots here -- decompose_omega() computes such a slot assignment
-/// and quantifies the multiplexing-degree cost of the cheaper fabric.
+/// several slots here -- decompose_greedy(omega, conns) computes such a
+/// slot assignment and quantifies the multiplexing-degree cost of the
+/// cheaper fabric.
 class OmegaNetwork {
  public:
+  /// The Omega constraint of one configuration: the internal lines its
+  /// connections occupy, stage by stage. The crossbar's port constraint is
+  /// the caller's to check. Must not outlive the network it was made for.
+  class Slot {
+   public:
+    explicit Slot(const OmegaNetwork& omega);
+
+    /// True when none of `c`'s internal lines is taken.
+    [[nodiscard]] bool admits(const Conn& c) const;
+    /// Occupy `c`'s internal lines.
+    void add(const Conn& c);
+
+   private:
+    const OmegaNetwork* omega_;
+    std::vector<BitVector> used_;  ///< per stage: lines occupied
+  };
+
   /// `n` must be a power of two (>= 2).
   explicit OmegaNetwork(std::size_t n);
 
@@ -41,7 +59,9 @@ class OmegaNetwork {
   [[nodiscard]] std::vector<std::size_t> route(std::size_t src,
                                                std::size_t dst) const;
 
-  /// True when the two connections can coexist (no shared line anywhere).
+  /// True when the two connections share a line at some stage. The last
+  /// stage's line is the destination, so identical destinations always
+  /// conflict.
   [[nodiscard]] bool conflict(const Conn& a, const Conn& b) const;
 
   /// True when every pair of connections in `config` is conflict-free.
@@ -50,23 +70,13 @@ class OmegaNetwork {
   [[nodiscard]] bool routable(const BitMatrix& config) const;
 
  private:
+  /// The line a connection to `dst` leaves stage `stage` on, having entered
+  /// it on `line`.
+  [[nodiscard]] std::size_t next_line(std::size_t line, std::size_t dst,
+                                      std::size_t stage) const;
+
   std::size_t n_;
   std::size_t stages_;
 };
-
-/// Decompose a connection set into Omega-routable configurations
-/// (greedy first-fit over per-stage line occupancy). The result satisfies
-/// both the crossbar and the Omega constraints; its size is the
-/// multiplexing degree the Omega fabric needs for this working set.
-struct OmegaDecomposition {
-  std::vector<BitMatrix> configs;
-  std::vector<std::size_t> color_of;
-
-  [[nodiscard]] std::size_t degree() const { return configs.size(); }
-};
-
-[[nodiscard]] OmegaDecomposition decompose_omega(const OmegaNetwork& omega,
-                                                 const std::vector<Conn>&
-                                                     conns);
 
 }  // namespace pmx

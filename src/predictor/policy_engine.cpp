@@ -256,6 +256,13 @@ bool PolicyEngine::recommend_flush(TimeNs now) {
   return tracker_ && tracker_->phase_shifted(now);
 }
 
+/// Safety valve for the pure-capacity policies (lru/lfu-decay/hybrid):
+/// entries idle this long are expired regardless of rank. Without it a
+/// capacity policy wedges dynamic TDM at drain time -- the last blocked
+/// senders wait on held slots that only an overflow could free, and
+/// nothing overflows once traffic stalls.
+constexpr TimeNs kIdleTtl{2000};
+
 std::unique_ptr<Predictor> make_policy(const PolicySpec& spec) {
   spec.validate();
   std::unique_ptr<WorkingSetTracker> tracker;
@@ -269,8 +276,7 @@ std::unique_ptr<Predictor> make_policy(const PolicySpec& spec) {
   const bool capacity_policy = spec.policy == "lru" ||
                                spec.policy == "lfu-decay" ||
                                spec.policy == "hybrid";
-  const TimeNs idle_ttl =
-      capacity_policy ? TimeNs{spec.idle_ttl_ns} : TimeNs{0};
+  const TimeNs idle_ttl = capacity_policy ? kIdleTtl : TimeNs{0};
   return std::make_unique<PolicyEngine>(spec.policy, make_rank_fn(spec),
                                         std::move(tracker), idle_ttl);
 }

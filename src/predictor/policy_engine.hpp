@@ -49,7 +49,7 @@ class PolicyEngine final : public Predictor {
   /// `tracker`, when present, drives recommend_flush() from working-set
   /// phase shifts. `idle_ttl`, when positive, expires entries idle that
   /// long regardless of rank -- the drain-time safety valve for pure
-  /// capacity policies (see PolicySpec::idle_ttl_ns).
+  /// capacity policies (make_policy's kIdleTtl).
   PolicyEngine(std::string name, std::unique_ptr<RankFn> rank,
                std::unique_ptr<WorkingSetTracker> tracker = nullptr,
                TimeNs idle_ttl = TimeNs{0});

@@ -258,18 +258,9 @@ void PolicySpec::validate() const {
   }
   if (policy == "lru" || policy == "lfu-decay" || policy == "hybrid") {
     PMX_CHECK(capacity > 0, "policy capacity must be positive");
-    PMX_CHECK(idle_ttl_ns >= 0, "idle ttl must be non-negative");
-  }
-  if (policy == "lfu-decay" || policy == "hybrid") {
-    PMX_CHECK(half_life_ns > 0, "policy half-life must be positive");
   }
   if (policy == "deadline") {
     PMX_CHECK(lifetime_ns > 0, "policy lifetime must be positive");
-  }
-  if (policy == "hybrid") {
-    PMX_CHECK(recency_quantum_ns > 0, "recency quantum must be positive");
-    PMX_CHECK(weight_recency + weight_frequency > 0,
-              "hybrid weights must be positive");
   }
 }
 
@@ -312,6 +303,12 @@ std::unique_ptr<RankFn> make_hybrid_rank(std::size_t capacity,
                                       half_life);
 }
 
+// The frequency policies' secondary parameters. No sweep varies them.
+constexpr TimeNs kHalfLife{400};  ///< lfu-decay/hybrid: frequency decay
+constexpr std::uint64_t kWeightRecency = 1;    ///< hybrid: recency weight
+constexpr std::uint64_t kWeightFrequency = 4;  ///< hybrid: frequency weight
+constexpr TimeNs kRecencyQuantum{100};  ///< hybrid: recency quantization
+
 std::unique_ptr<RankFn> make_rank_fn(const PolicySpec& spec) {
   spec.validate();
   if (spec.policy == "none") {
@@ -332,15 +329,13 @@ std::unique_ptr<RankFn> make_rank_fn(const PolicySpec& spec) {
     return make_lru_rank(spec.capacity);
   }
   if (spec.policy == "lfu-decay") {
-    return make_lfu_decay_rank(spec.capacity, TimeNs{spec.half_life_ns});
+    return make_lfu_decay_rank(spec.capacity, kHalfLife);
   }
   if (spec.policy == "deadline") {
     return make_deadline_rank(TimeNs{spec.lifetime_ns});
   }
-  return make_hybrid_rank(spec.capacity, spec.weight_recency,
-                          spec.weight_frequency,
-                          TimeNs{spec.recency_quantum_ns},
-                          TimeNs{spec.half_life_ns});
+  return make_hybrid_rank(spec.capacity, kWeightRecency, kWeightFrequency,
+                          kRecencyQuantum, kHalfLife);
 }
 
 }  // namespace pmx

@@ -101,20 +101,9 @@ struct PolicySpec {
   std::int64_t timeout_ns = 200;      ///< timeout/phase: idle horizon
   std::uint64_t threshold = 8;        ///< counter: network-wide uses
   std::uint64_t capacity = 16;        ///< lru/lfu-decay/hybrid: tracked cap
-  std::int64_t half_life_ns = 400;    ///< lfu-decay/hybrid: frequency decay
   std::int64_t lifetime_ns = 1000;    ///< deadline: lease from establish
   std::int64_t phase_epoch_ns = 1000;  ///< phase: working-set epoch
   double phase_shift_threshold = 0.25;  ///< phase: Jaccard flush threshold
-  std::uint64_t weight_recency = 1;    ///< hybrid: weight on recency rank
-  std::uint64_t weight_frequency = 4;  ///< hybrid: weight on frequency rank
-  std::int64_t recency_quantum_ns = 100;  ///< hybrid: recency quantization
-  /// Safety valve for the pure-capacity policies (lru/lfu-decay/hybrid):
-  /// entries idle this long are expired regardless of rank. Without it a
-  /// capacity policy wedges dynamic TDM at drain time -- the last blocked
-  /// senders wait on held slots that only an overflow could free, and
-  /// nothing overflows once traffic stalls. 0 disables the valve. Ignored
-  /// by the deadline/horizon policies (their expiry is the rank itself).
-  std::int64_t idle_ttl_ns = 2000;
 
   /// Policies selectable by name.
   [[nodiscard]] static const std::vector<std::string>& known_policies();

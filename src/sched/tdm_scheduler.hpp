@@ -115,10 +115,6 @@ class TdmScheduler {
       mark_all_dirty();
     }
   }
-  void clear_holds() {
-    holds_.reset();
-    mark_all_dirty();
-  }
   [[nodiscard]] bool held(std::size_t u, std::size_t v) const {
     return holds_.get(u, v);
   }

@@ -309,7 +309,10 @@ void CircuitNetwork::send_complete(NodeId src_id) {
     src.held_circuit = msg.dst;
     outputs_[msg.dst].last_activity = sim_.now();
   } else {
-    // Teardown notice crosses the control wire; the output frees then.
+    // Teardown notice crosses the control wire; the output frees then. A
+    // reused circuit is still marked held, and must not be reused or torn
+    // down again once this notice is in flight.
+    src.held_circuit.reset();
     send_release(msg.dst);
   }
   start_next_message(src_id);

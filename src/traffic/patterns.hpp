@@ -65,10 +65,10 @@ namespace patterns {
                                std::size_t count, NodeId hot, double fraction,
                                std::uint64_t seed = 1);
 
-/// Bit-transpose permutation traffic (classic NoC stressor): node with index
-/// bits (hi,lo) sends to (lo,hi). `rounds` messages per node. n must be a
-/// perfect square... of the index space: we require n to be 4^k or use
-/// (i % s, i / s) swap on the s = floor(sqrt(n)) grid.
+/// Transpose permutation traffic (classic NoC stressor): on the s x s grid
+/// of nodes, s = sqrt(n), node (x, y) = (u % s, u / s) sends `rounds`
+/// messages to node (y, x); diagonal nodes send nothing. n must be a perfect
+/// square (aborts otherwise).
 [[nodiscard]] Workload transpose(std::size_t n, std::uint64_t bytes,
                                  std::size_t rounds = 1);
 

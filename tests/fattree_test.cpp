@@ -80,7 +80,7 @@ TEST(DecomposeFatTree, CoversEverythingWithinCapacity) {
       conns.push_back(c);
     }
   }
-  const FatTreeDecomposition d = decompose_fattree(tree, conns);
+  const Decomposition d = decompose_greedy(tree, conns);
   BitMatrix covered(32);
   for (const auto& cfg : d.configs) {
     EXPECT_TRUE(tree.routable(cfg));
@@ -111,11 +111,11 @@ TEST(DecomposeFatTree, OversubscriptionInflatesDegree) {
   // with s spines per leaf a config carries at most s of them, so the
   // degree is at least 24/s.
   const std::size_t full =
-      decompose_fattree(FatTree(4, 8, 8), conns).degree();
+      decompose_greedy(FatTree(4, 8, 8), conns).degree();
   const std::size_t half =
-      decompose_fattree(FatTree(4, 8, 4), conns).degree();
+      decompose_greedy(FatTree(4, 8, 4), conns).degree();
   const std::size_t quarter =
-      decompose_fattree(FatTree(4, 8, 2), conns).degree();
+      decompose_greedy(FatTree(4, 8, 2), conns).degree();
   EXPECT_EQ(full, 3u);  // crossbar degree of 3 shift permutations
   EXPECT_GE(half, 6u);
   EXPECT_GE(quarter, 12u);
@@ -134,11 +134,11 @@ TEST(DecomposeFatTree, LocalTrafficFreeUnderOversubscription) {
           Conn{leaf * 8 + p, leaf * 8 + (p + 2) % 8});
     }
   }
-  EXPECT_EQ(decompose_fattree(tree, conns).degree(), 2u);
+  EXPECT_EQ(decompose_greedy(tree, conns).degree(), 2u);
 }
 
 TEST(DecomposeFatTree, EmptySet) {
-  EXPECT_EQ(decompose_fattree(FatTree(2, 4, 2), {}).degree(), 0u);
+  EXPECT_EQ(decompose_greedy(FatTree(2, 4, 2), {}).degree(), 0u);
 }
 
 TEST(FatTreeDeathTest, DegenerateConfigRejected) {

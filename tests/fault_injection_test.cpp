@@ -163,6 +163,41 @@ TEST(FaultInjection, CircuitHealsAcrossLinkOutage) {
   EXPECT_EQ(net.outstanding_reliable(), 0u);
 }
 
+// Source 0 holds its circuit to node 3, and node 3's cable dies during the
+// second, reused transfer. The teardown that follows must end the hold: the
+// third message (to `third_dst`) may neither reuse the circuit whose
+// release is in flight nor tear the same output down a second time.
+void run_held_circuit_outage(CircuitNetwork& net, Simulator& sim,
+                             NodeId third_dst) {
+  net.fault_model()->inject_link_fault(3, 6'000_ns, 10'000_ns);
+  for (const NodeId dst : {NodeId{3}, NodeId{3}, third_dst, NodeId{3}}) {
+    net.submit(0, dst, 4096);
+  }
+  sim.run_until(10'000_us);
+  EXPECT_EQ(net.delivered_count(), 4u);
+  EXPECT_EQ(net.dropped_messages(), 0u);
+  EXPECT_EQ(net.outstanding_reliable(), 0u);
+}
+
+TEST(FaultInjection, HeldCircuitDyingMidReuseIsNotReusedAgain) {
+  Simulator sim;
+  CircuitNetwork net(sim, faulty_params(8, 0.0),
+                     CircuitNetwork::Options{.hold_circuits = true});
+  run_held_circuit_outage(net, sim, 3);
+  EXPECT_EQ(net.counters().value("circuit_reuses"), 3u);
+  EXPECT_EQ(net.counters().value("circuits_established"), 2u);
+  EXPECT_EQ(net.counters().value("circuit_waits"), 1u);
+}
+
+TEST(FaultInjection, HeldCircuitDyingMidReuseIsNotTornDownTwice) {
+  Simulator sim;
+  CircuitNetwork net(sim, faulty_params(8, 0.0),
+                     CircuitNetwork::Options{.hold_circuits = true});
+  run_held_circuit_outage(net, sim, 5);
+  EXPECT_EQ(net.counters().value("circuit_reuses"), 2u);
+  EXPECT_EQ(net.counters().value("circuits_established"), 3u);
+}
+
 TEST(FaultInjection, DynamicTdmMasksAndReestablishes) {
   SystemParams p;
   p.num_nodes = 8;

@@ -119,7 +119,7 @@ TEST(DecomposeOmega, CoversEveryConnectionExactlyOnce) {
       conns.push_back(c);
     }
   }
-  const OmegaDecomposition d = decompose_omega(omega, conns);
+  const Decomposition d = decompose_greedy(omega, conns);
   BitMatrix covered(n);
   for (const auto& cfg : d.configs) {
     EXPECT_TRUE(omega.routable(cfg));
@@ -154,7 +154,7 @@ TEST(DecomposeOmega, NeedsAtLeastCrossbarDegree) {
       }
     }
     const std::size_t crossbar = decompose_optimal(n, conns).degree();
-    const std::size_t mux = decompose_omega(omega, conns).degree();
+    const std::size_t mux = decompose_greedy(omega, conns).degree();
     EXPECT_GE(mux, crossbar);
     strictly_above += mux > crossbar ? 1u : 0u;
   }
@@ -172,13 +172,13 @@ TEST(DecomposeOmega, ShiftWorkingSetStaysCheap) {
       conns.push_back(Conn{u, (u + k) % n});
     }
   }
-  const OmegaDecomposition d = decompose_omega(omega, conns);
+  const Decomposition d = decompose_greedy(omega, conns);
   EXPECT_EQ(d.degree(), 4u);
 }
 
 TEST(DecomposeOmega, EmptySet) {
   const OmegaNetwork omega(8);
-  EXPECT_EQ(decompose_omega(omega, {}).degree(), 0u);
+  EXPECT_EQ(decompose_greedy(omega, {}).degree(), 0u);
 }
 
 }  // namespace
