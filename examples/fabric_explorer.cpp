@@ -8,8 +8,14 @@
 //       bytes=256 seed=7
 //
 // pattern: mesh | uniform | alltoall | scatter | transpose
+//
+// nodes must be a power of two (the Omega network); leaves must divide it.
+// A bad value is rejected with one line on stderr and exit status 2 before
+// anything is built or printed.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -26,6 +32,39 @@
 #include "traffic/patterns.hpp"
 
 namespace {
+
+constexpr std::array<const char*, 5> kPatterns = {
+    "mesh", "uniform", "alltoall", "scatter", "transpose"};
+
+/// Why these options cannot run, or an empty string when they can.
+std::string reject_reason(std::size_t nodes, std::uint64_t bytes,
+                          const std::string& pattern, std::size_t leaves,
+                          std::size_t spines) {
+  if (nodes < 2 || !std::has_single_bit(nodes)) {
+    return "nodes must be a power of two >= 2 (Omega network)";
+  }
+  if (bytes == 0) {
+    return "bytes must be positive";
+  }
+  if (leaves == 0 || nodes % leaves != 0) {
+    return "leaves must be positive and divide nodes";
+  }
+  if (spines == 0) {
+    return "spines must be positive";
+  }
+  if (std::ranges::find(kPatterns, pattern) == kPatterns.end()) {
+    return "unknown pattern '" + pattern +
+           "' (mesh, uniform, alltoall, scatter, transpose)";
+  }
+  if (pattern == "mesh" && nodes < 4) {
+    return "pattern=mesh needs nodes >= 4";
+  }
+  // A power of two is a square exactly when its exponent is even.
+  if (pattern == "transpose" && std::countr_zero(nodes) % 2 != 0) {
+    return "pattern=transpose needs a square node count (a power of four)";
+  }
+  return {};
+}
 
 pmx::Workload make_pattern(const std::string& name, std::size_t nodes,
                            std::uint64_t bytes, std::size_t count,
@@ -61,23 +100,35 @@ double run_preload(const pmx::Workload& w, pmx::CompiledPlan plan,
 
 int main(int argc, char** argv) {
   std::vector<std::string> args(argv + 1, argv + argc);
-  pmx::Config config;
+  std::size_t nodes = 0;
+  std::uint64_t bytes = 0;
+  std::size_t count = 0;
+  std::uint64_t seed = 0;
+  std::string pattern;
+  std::size_t leaves = 0;
+  std::size_t spines = 0;
   try {
-    config = pmx::Config::from_args(args);
+    const pmx::Config config = pmx::Config::from_args(args);
+    nodes = config.get_uint("nodes", 64);
+    bytes = config.get_uint("bytes", 256);
+    count = config.get_uint("count", 8);
+    seed = config.get_uint("seed", 7);
+    pattern = config.get_string("pattern", "uniform");
+    leaves = config.get_uint("leaves", nodes >= 32 ? 8 : 2);
+    spines = config.get_uint(
+        "spines",
+        leaves == 0 ? 1 : std::max<std::size_t>(1, nodes / leaves / 2));
+    config.fail_unread("fabric_explorer");
   } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
+    std::cerr << "fabric_explorer: " << e.what() << "\n";
     return 2;
   }
-  const std::size_t nodes = config.get_uint("nodes", 64);
-  const std::uint64_t bytes = config.get_uint("bytes", 256);
-  const std::size_t count = config.get_uint("count", 8);
-  const std::uint64_t seed = config.get_uint("seed", 7);
-  const std::string pattern = config.get_string("pattern", "uniform");
-  const std::size_t leaves =
-      config.get_uint("leaves", nodes >= 32 ? 8 : 2);
-  const std::size_t spines = config.get_uint(
-      "spines", std::max<std::size_t>(1, nodes / leaves / 2));
-  config.fail_unread("fabric_explorer");
+  if (const std::string reason =
+          reject_reason(nodes, bytes, pattern, leaves, spines);
+      !reason.empty()) {
+    std::cerr << "fabric_explorer: " << reason << "\n";
+    return 2;
+  }
 
   const pmx::Workload w = make_pattern(pattern, nodes, bytes, count, seed);
   const pmx::OmegaNetwork omega(nodes);
@@ -86,10 +137,6 @@ int main(int argc, char** argv) {
             << " (" << omega.stages() << "-stage Omega), "
             << w.num_messages() << " messages of " << bytes << " B\n\n";
 
-  if (nodes % leaves != 0) {
-    std::cerr << "nodes must be a multiple of leaves\n";
-    return 2;
-  }
   const pmx::FatTree tree(leaves, nodes / leaves, spines);
 
   pmx::CompiledPlan xbar = pmx::compile_workload(w);

@@ -3,7 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/time.hpp"
+#include "common/assert.hpp"
 
 namespace pmx {
 
@@ -40,9 +40,15 @@ struct ReoptParams {
 
   [[nodiscard]] bool enabled() const { return period_slots > 0; }
 
-  /// Fail fast on nonsensical knobs; aborts via PMX_CHECK (definition in
-  /// reopt_service.cpp so this header stays dependency-light).
-  void validate() const;
+  /// Fail fast on nonsensical knobs; aborts via PMX_CHECK.
+  void validate() const {
+    if (!enabled()) {
+      return;
+    }
+    PMX_CHECK(ewma_shift >= 1 && ewma_shift <= 16,
+              "EWMA shift must be in [1, 16]");
+    PMX_CHECK(work_budget >= 1, "work budget must be positive");
+  }
 };
 
 }  // namespace pmx

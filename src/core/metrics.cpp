@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "control/reconfig_applier.hpp"
+#include "switching/reopt_loop.hpp"
 
 namespace pmx {
 

@@ -16,8 +16,6 @@ void FaultParams::validate(std::size_t num_nodes) const {
             "link parks queued traffic forever (scripted inject_link_fault "
             "still allows permanent outages)");
   PMX_CHECK(retry_budget >= 1, "retry budget must allow at least one attempt");
-  PMX_CHECK(retransmit_timeout > TimeNs::zero(),
-            "retransmit timeout must be positive");
   PMX_CHECK(backoff_base > TimeNs::zero(), "backoff base must be positive");
   PMX_CHECK(backoff_cap >= backoff_base, "backoff cap below backoff base");
   PMX_CHECK(stuck_cells <= num_nodes * (num_nodes - 1),

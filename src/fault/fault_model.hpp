@@ -58,8 +58,6 @@ struct FaultParams {
   /// Maximum transmission attempts per message before the NIC gives up and
   /// drops it permanently.
   std::size_t retry_budget = 16;
-  /// How long the sender waits for an ACK before assuming it was lost.
-  TimeNs retransmit_timeout{500};
   /// First retransmission backoff; doubles per attempt (exponential).
   TimeNs backoff_base{200};
   /// Upper bound on the exponential backoff.

@@ -1,7 +1,5 @@
 #include "nic/admission.hpp"
 
-#include "common/assert.hpp"
-
 namespace pmx {
 
 std::string to_string(ShedPolicy policy) {
@@ -18,36 +16,6 @@ std::string to_string(ShedPolicy policy) {
       return "backpressure";
   }
   return "unknown";
-}
-
-ShedPolicy parse_shed_policy(const std::string& name) {
-  if (name == "tail-drop") {
-    return ShedPolicy::kTailDrop;
-  }
-  if (name == "drop-newest") {
-    return ShedPolicy::kDropNewest;
-  }
-  if (name == "drop-oldest") {
-    return ShedPolicy::kDropOldest;
-  }
-  if (name == "deadline") {
-    return ShedPolicy::kDeadline;
-  }
-  if (name == "backpressure") {
-    return ShedPolicy::kBackpressure;
-  }
-  PMX_CHECK(false, ("unknown shed policy: " + name).c_str());
-  return ShedPolicy::kTailDrop;
-}
-
-void AdmissionParams::validate() const {
-  if (!enabled()) {
-    return;
-  }
-  if (policy == ShedPolicy::kDeadline) {
-    PMX_CHECK(deadline > TimeNs::zero(),
-              "deadline shed policy needs a positive deadline");
-  }
 }
 
 }  // namespace pmx

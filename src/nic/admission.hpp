@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/time.hpp"
-
 namespace pmx {
 
 /// What the NIC-side admission controller does with an arriving message when
@@ -19,13 +17,13 @@ enum class ShedPolicy : std::uint8_t {
   /// Push out the oldest fully-unsent queued message to admit the newcomer
   /// (FIFO push-out: bounds queueing delay of what stays).
   kDropOldest,
-  /// Shed only queued messages whose age exceeds `AdmissionParams::deadline`
-  /// (their delivery would be useless anyway); if nothing has expired the
-  /// newcomer is rejected instead. The expiry is encoded as an integer Rank
-  /// exactly like the policy engine's deadline rank function
-  /// (make_deadline_rank): rank = submit_time + deadline, expired when
-  /// rank <= now, evicted lowest-rank-first with (rank, src, dst)
-  /// tie-breaking.
+  /// Shed only queued messages older than the 5 us shed deadline
+  /// (`kShedDeadline` in switching/network.cpp; their delivery would be
+  /// useless anyway); if nothing has expired the newcomer is rejected
+  /// instead. The expiry is encoded as an integer Rank exactly like the
+  /// policy engine's deadline rank function (make_deadline_rank):
+  /// rank = submit_time + deadline, expired when rank <= now, evicted
+  /// lowest-rank-first with (rank, src, dst) tie-breaking.
   kDeadline,
   /// Do not shed at all: refuse the submission and make the source retry
   /// later (closed-loop backpressure; the driver accounts the stall time).
@@ -33,9 +31,6 @@ enum class ShedPolicy : std::uint8_t {
 };
 
 [[nodiscard]] std::string to_string(ShedPolicy policy);
-/// Parse "tail-drop" | "drop-newest" | "drop-oldest" | "deadline" |
-/// "backpressure" (bench sweep axes). Aborts on unknown names.
-[[nodiscard]] ShedPolicy parse_shed_policy(const std::string& name);
 
 /// NIC-side admission control: bounds on the per-source output queues and
 /// the policy applied when an arrival would overflow them. Both capacities
@@ -47,15 +42,10 @@ struct AdmissionParams {
   /// Per-source queued-message budget across all destinations (0 = none).
   std::size_t capacity_msgs = 0;
   ShedPolicy policy = ShedPolicy::kTailDrop;
-  /// kDeadline only: a queued message older than this has missed its
-  /// deadline and may be shed to make room.
-  TimeNs deadline{5'000};
 
   [[nodiscard]] bool enabled() const {
     return capacity_bytes > 0 || capacity_msgs > 0;
   }
-
-  void validate() const;
 };
 
 }  // namespace pmx

@@ -4,6 +4,17 @@
 
 namespace pmx {
 
+namespace {
+
+/// How long a sender waits for an ACK before assuming it was lost.
+constexpr TimeNs kRetransmitTimeout{500};
+
+/// ShedPolicy::kDeadline: a queued message older than this has missed its
+/// deadline and may be shed to make room.
+constexpr TimeNs kShedDeadline{5'000};
+
+}  // namespace
+
 Network::Network(Simulator& sim, const SystemParams& params)
     : sim_(sim), params_(params), link_(params.link) {
   params_.validate();
@@ -155,7 +166,7 @@ Network::SubmitOutcome Network::try_submit(NodeId src, NodeId dst,
           // Only messages whose deadline rank has expired may be evicted
           // (rank = submit_time + deadline, expired when rank <= now --
           // the same integer-rank encoding the PolicyEngine uses).
-          const TimeNs cutoff = sim_.now() - adm.deadline;
+          const TimeNs cutoff = sim_.now() - kShedDeadline;
           while (overflowing()) {
             auto victim = remove_shed_victim(src, true, cutoff);
             if (!victim.has_value()) {
@@ -312,7 +323,7 @@ void Network::handle_arrival(const Message& msg, TimeNs send_done,
       return;
     }
     ++st.attempts;
-    schedule_retransmit(msg, fault_->params().retransmit_timeout);
+    schedule_retransmit(msg, kRetransmitTimeout);
     return;
   }
   arq_.erase(it);

@@ -18,7 +18,7 @@
 
 namespace pmx {
 
-struct ReoptStats;  // control/reconfig_applier.hpp
+struct ReoptStats;  // switching/reopt_loop.hpp
 
 /// One hard-fault episode and how long delivery took to resume across the
 /// failed link (metrics: "time to recover").

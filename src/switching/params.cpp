@@ -21,7 +21,6 @@ void SystemParams::validate() const {
   fault.validate(num_nodes);
   ctrl.validate(slot_length);
   audit.validate();
-  admission.validate();
   reopt.validate();
 }
 

@@ -47,12 +47,7 @@ PreloadTdmNetwork::PreloadTdmNetwork(Simulator& sim,
 }
 
 void PreloadTdmNetwork::on_demand_roll() {
-  for (NodeId u = 0; u < params_.num_nodes; ++u) {
-    voqs_[u].pending().for_each_set([&](std::size_t v) {
-      demand_->observe(u, static_cast<NodeId>(v),
-                       voqs_[u].bytes(static_cast<NodeId>(v)));
-    });
-  }
+  fold_backlog(*demand_);
   demand_->roll();
 }
 

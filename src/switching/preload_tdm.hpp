@@ -34,15 +34,6 @@ class PreloadTdmNetwork final : public TdmNetworkBase {
 
   [[nodiscard]] std::size_t current_phase() const { return phase_; }
 
-  /// The EWMA demand estimator driving configuration load ranking, when
-  /// params.reopt.enabled(). Preloaded plans are immutable (the compiler
-  /// owns the tables), so this paradigm uses the service loop's estimator
-  /// stage only: pending configurations are ranked by smoothed measured
-  /// demand instead of instantaneous head-of-line bytes.
-  [[nodiscard]] const DemandEstimator* demand_estimator() const {
-    return demand_.get();
-  }
-
  protected:
   /// Checks the message against the plan and counts it against its phase.
   void do_submit(const Message& msg) override;
@@ -59,7 +50,7 @@ class PreloadTdmNetwork final : public TdmNetworkBase {
   void on_slot_tick();
   /// Load pending configurations of the current phase into free slots.
   void fill_free_slots();
-  /// Demand-window roll tick (reopt service period): fold VOQ occupancy
+  /// Demand-window roll tick (re-opt loop period): fold the VOQ backlog
   /// into the window, then roll the EWMA.
   void on_demand_roll();
   /// True when every configuration of the current phase has drained.
@@ -87,8 +78,10 @@ class PreloadTdmNetwork final : public TdmNetworkBase {
   /// Consecutive slots with queued traffic but no transmission.
   std::uint64_t stall_slots_ = 0;
 
-  /// Estimator stage of the re-optimization service (load ranking only);
-  /// nullptr when params.reopt is disabled.
+  /// Estimator stage of the re-optimization loop, when
+  /// params.reopt.enabled(). Preloaded plans are immutable (the compiler
+  /// owns the tables), so the estimator only ranks pending configurations:
+  /// by smoothed measured demand instead of head-of-line bytes.
   std::unique_ptr<DemandEstimator> demand_;
   std::unique_ptr<Clock> demand_clock_;
 

@@ -42,35 +42,7 @@ TdmNetwork::TdmNetwork(Simulator& sim, const SystemParams& params,
     fm->subscribe([this](NodeId node, bool up) { on_link_change(node, up); });
   }
   if (params.reopt.enabled()) {
-    ReoptService::Hooks hooks;
-    hooks.applier.apply = [this](const std::vector<BitMatrix>& tables,
-                                 bool pinned) {
-      return apply_reopt(tables, pinned);
-    };
-    hooks.applier.capture = [this] {
-      std::vector<BitMatrix> tables;
-      tables.reserve(sched_.num_slots());
-      for (std::size_t s = 0; s < sched_.num_slots(); ++s) {
-        tables.push_back(sched_.config(s));
-      }
-      return tables;
-    };
-    hooks.applier.delivered_bytes = [this] { return delivered_bytes(); };
-    hooks.applier.violations = [this]() -> std::uint64_t {
-      return auditor() ? auditor()->stats().violations : 0;
-    };
-    hooks.visit_queues =
-        [this](const std::function<void(NodeId, NodeId, std::uint64_t)>& fn) {
-          for (NodeId u = 0; u < params_.num_nodes; ++u) {
-            voqs_[u].pending().for_each_set([&](std::size_t v) {
-              fn(u, static_cast<NodeId>(v), voqs_[u].bytes(v));
-            });
-          }
-        };
-    reopt_ = std::make_unique<ReoptService>(
-        sim, control_fault(), params.reopt, params.num_nodes, params.mux_degree,
-        params.slot_length, params.control_wire_latency(),
-        params.scheduler_latency, std::move(hooks));
+    reopt_ = std::make_unique<ReoptLoop>(sim, *this);
     reopt_->start();
   }
   slot_clock_.start();

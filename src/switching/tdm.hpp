@@ -3,9 +3,9 @@
 #include <memory>
 #include <vector>
 
-#include "control/reopt_service.hpp"
 #include "predictor/predictor.hpp"
 #include "sim/clock.hpp"
+#include "switching/reopt_loop.hpp"
 #include "switching/tdm_base.hpp"
 
 namespace pmx {
@@ -64,8 +64,6 @@ class TdmNetwork : public TdmNetworkBase {
 
   [[nodiscard]] const Predictor& predictor() const { return *predictor_; }
 
-  /// The online re-optimization service, when params.reopt.enabled().
-  [[nodiscard]] const ReoptService* reopt() const { return reopt_.get(); }
   [[nodiscard]] const ReoptStats* reopt_stats() const override {
     return reopt_ ? &reopt_->stats() : nullptr;
   }
@@ -84,15 +82,17 @@ class TdmNetwork : public TdmNetworkBase {
   void on_slot_tick();
   void on_sl_tick();
   void on_link_change(NodeId node, bool up);
-  /// The re-optimization service's apply hook: install the proposed tables
+  /// The re-optimization loop's write path: install the proposed tables
   /// (pinned on apply, unpinned on rollback), flush learned state, and
   /// resync both control views through the A7 path. Returns the invalidated
   /// in-flight control-message count (disruption accounting).
   std::uint64_t apply_reopt(const std::vector<BitMatrix>& tables, bool pinned);
 
+  friend class ReoptLoop;
+
   std::unique_ptr<Predictor> predictor_;
-  /// Online slot-table re-optimization service; nullptr when disabled.
-  std::unique_ptr<ReoptService> reopt_;
+  /// Online slot-table re-optimization loop; nullptr when disabled.
+  std::unique_ptr<ReoptLoop> reopt_;
   Clock slot_clock_;
   Clock sl_clock_;
   std::size_t sl_units_ = 1;

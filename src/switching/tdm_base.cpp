@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "control/demand_estimator.hpp"
+
 namespace pmx {
 
 TdmNetworkBase::TdmNetworkBase(Simulator& sim, const SystemParams& params,
@@ -170,6 +172,18 @@ std::size_t TdmNetworkBase::resync_views() {
     }
   }
   return invalidated;
+}
+
+std::uint64_t TdmNetworkBase::fold_backlog(DemandEstimator& estimator) const {
+  std::uint64_t queued = 0;
+  for (NodeId u = 0; u < params_.num_nodes; ++u) {
+    voqs_[u].pending().for_each_set([&](std::size_t v) {
+      const std::uint64_t bytes = voqs_[u].bytes(static_cast<NodeId>(v));
+      queued += bytes;
+      estimator.observe(u, static_cast<NodeId>(v), bytes);
+    });
+  }
+  return queued;
 }
 
 void TdmNetworkBase::resync_control() {

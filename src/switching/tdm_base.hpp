@@ -13,6 +13,8 @@
 
 namespace pmx {
 
+class DemandEstimator;
+
 /// The NIC and request path shared by reactive TDM (Section 4) and compiled
 /// preloading (Section 3.1, Section 4 extension 5): one VOQ set per source,
 /// whose non-empty bitmap is the request matrix R of one TdmScheduler. R is
@@ -68,6 +70,10 @@ class TdmNetworkBase : public Network {
   /// occupancy / B*). Returns the number of in-flight control messages the
   /// epoch bump invalidated (0 without a lossy control plane).
   std::size_t resync_views();
+  /// Fold the VOQ backlog into the re-optimization demand window: observe
+  /// every pending (u, v) VOQ's queued bytes into `estimator` (starved
+  /// pairs are demand too). Returns the bytes folded.
+  std::uint64_t fold_backlog(DemandEstimator& estimator) const;
 
   TdmScheduler sched_;
   std::vector<VoqSet> voqs_;
